@@ -150,8 +150,7 @@ inline CasePair run_case(const PerfectBenchmark& bench,
   CasePair totals;
   for (const auto& loop : bench.program().loops) {
     if (analyze_dependences(loop).is_doall()) continue;
-    const SchedulerComparison cmp =
-        compare_schedulers_cached(loop, options, cache);
+    const SchedulerComparison cmp = compare_schedulers(loop, options, cache);
     totals.ta += cmp.baseline.parallel_time();
     totals.tb += cmp.improved.parallel_time();
   }
@@ -193,7 +192,7 @@ inline std::vector<std::array<CasePair, 4>> run_all_cases(int jobs = 1) {
         const Cell& cell = cells[static_cast<std::size_t>(i)];
         const Loop& loop = programs[cell.b].loops[cell.l];
         if (analyze_dependences(loop).is_doall()) return;
-        const SchedulerComparison cmp = compare_schedulers_cached(
+        const SchedulerComparison cmp = compare_schedulers(
             loop, case_options(kPaperCases[cell.c]), &cache);
         partial[static_cast<std::size_t>(i)] = {cmp.baseline.parallel_time(),
                                                 cmp.improved.parallel_time()};
@@ -310,11 +309,10 @@ struct CompilePerf {
   std::vector<std::pair<int, double>> scaling_curve;
   std::int64_t cache_hit_p50_ns = 0;
   std::int64_t cache_hit_p99_ns = 0;
-  /// Fraction of corpus compiles whose never-degrade fallback avoided
-  /// the simulation — skipped entirely by the schedule-free pre-filter
-  /// or sim-skipped by the list schedule's own bound
-  /// ((sbmp_compile_fallback_skipped + sbmp_compile_fallback_sim_skipped)
-  /// / sbmp_compile_loops over the traced pass).
+  /// Fraction of corpus compiles whose never-degrade fallback skipped
+  /// the list simulation because the list placement's own bound already
+  /// met the sync-aware time (sbmp_compile_fallback_sim_skipped /
+  /// sbmp_compile_loops over the traced pass).
   double fallback_skip_rate = 0.0;
   /// Fraction of cache hits served by the thread-local L1 front-cache
   /// during the cache-hit pass (single thread → expected ~1.0).
@@ -447,7 +445,7 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   // pay. Span durations come straight from the tracer's event log;
   // phases are reported in pipeline order (first-appearance order of
   // their spans). The pass also carries a metrics registry, which yields
-  // the pre-filter skip rate for free.
+  // the fallback skip rate for free.
   Tracer tracer;
   MetricsRegistry traced_metrics;
   PipelineOptions traced_options = options;
@@ -461,8 +459,6 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   if (traced_loops > 0)
     perf.fallback_skip_rate =
         static_cast<double>(
-            traced_metrics.counter("sbmp_compile_fallback_skipped_total")
-                ->value() +
             traced_metrics.counter("sbmp_compile_fallback_sim_skipped_total")
                 ->value()) /
         static_cast<double>(traced_loops);
@@ -490,7 +486,7 @@ inline CompilePerf run_compile_perf(int reps = 7) {
 /// v2 added "phase_ns" (per-phase p50/p99 from the traced pass); v3
 /// added "scaling_curve": measured loops/sec at every jobs level of the
 /// {1, 2, 4, 8, 16} sweep; v4 adds "fallback_skip_rate" (fraction of
-/// compiles whose never-degrade fallback the analytic pre-filter
+/// compiles whose never-degrade fallback simulation the list bound
 /// skipped) and "l1_hit_rate" (cache hits served by the thread-local
 /// L1). The check-mode reader scans scalar fields by key, so older
 /// files remain checkable against a v4 binary and vice versa.

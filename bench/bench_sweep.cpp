@@ -30,7 +30,6 @@
 // disagrees with its cold counterpart (see docs/serving.md).
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -78,16 +77,6 @@ std::string parse_cache_dir(int argc, char** argv) {
 /// and every DOACROSS loop of the Perfect suite (bench_common.h).
 std::vector<FaultTarget> doacross_corpus() {
   return sbmp::bench::compile_corpus();
-}
-
-/// Parses `--json PATH`: empty when the flag is absent. With the flag,
-/// the harness runs the compile-perf measurement instead of the sweeps
-/// and writes the machine-readable BENCH_compile.json report to PATH
-/// (same format as `bench_micro --json`; see docs/perf.md).
-std::string parse_json_path(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], "--json") == 0) return argv[i + 1];
-  return "";
 }
 
 /// Schedule-cache benchmark mode: cold pass fills DIR, warm pass (fresh
@@ -345,18 +334,6 @@ int main(int argc, char** argv) {
   using namespace sbmp::bench;
 
   const int jobs = parse_jobs(argc, argv);
-  if (const std::string json = parse_json_path(argc, argv); !json.empty()) {
-    const CompilePerf perf = run_compile_perf();
-    const std::string rendered = compile_perf_to_json(perf);
-    std::ofstream out(json);
-    if (!out.good()) {
-      std::fprintf(stderr, "cannot write %s\n", json.c_str());
-      return 2;
-    }
-    out << rendered;
-    std::printf("%s", rendered.c_str());
-    return 0;
-  }
   if (const int fault_trials = parse_faults(argc, argv); fault_trials > 0)
     return run_fault_mode(fault_trials, jobs);
   if (const std::string dir = parse_cache_dir(argc, argv); !dir.empty())
@@ -375,7 +352,7 @@ int main(int argc, char** argv) {
                    options.iterations = 100;
                    options.processors = procs[static_cast<std::size_t>(i)];
                    cmps[static_cast<std::size_t>(i)] =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                  });
     TextTable table;
     table.set_header({"P", "list", "sync-aware", "speedup(sync-aware)"});
@@ -421,7 +398,7 @@ int main(int argc, char** argv) {
                        machines::paper(widths[cell.w], 1);
                    options.iterations = 100;
                    const SchedulerComparison cmp =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                    partial[static_cast<std::size_t>(i)] = {
                        cmp.baseline.parallel_time(),
                        cmp.improved.parallel_time()};
@@ -462,7 +439,7 @@ int main(int argc, char** argv) {
                    options.machine = machines::paper(4, 1);
                    options.iterations = 100;
                    cmps[static_cast<std::size_t>(i)] =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                  });
     TextTable table;
     table.set_header({"d", "list", "sync-aware", "analytic n/d shape"});
@@ -491,7 +468,7 @@ int main(int argc, char** argv) {
                        nets[static_cast<std::size_t>(i)];
                    options.iterations = 100;
                    cmps[static_cast<std::size_t>(i)] =
-                       compare_schedulers_cached(loop, options, &cache);
+                       compare_schedulers(loop, options, &cache);
                  });
     TextTable table;
     table.set_header({"signal latency", "list", "sync-aware"});
@@ -520,8 +497,8 @@ int main(int argc, char** argv) {
                    PipelineOptions options;
                    options.machine = machines::paper(4, 1);
                    options.iterations = 0;  // the unrolled trip count
-                   cmps[idx] = compare_schedulers_cached(unrolled[idx],
-                                                         options, &cache);
+                   cmps[idx] =
+                       compare_schedulers(unrolled[idx], options, &cache);
                  });
     TextTable table;
     table.set_header({"factor", "iterations", "list", "sync-aware"});

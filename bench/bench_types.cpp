@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
                  options.machine = machines::paper(4, 1);
                  options.iterations = 100;
                  const SchedulerComparison cmp =
-                     compare_schedulers_cached(r.loop, options, &cache);
+                     compare_schedulers(r.loop, options, &cache);
                  m.ta = cmp.baseline.parallel_time();
                  m.tb = cmp.improved.parallel_time();
                });

@@ -11,18 +11,6 @@
 
 namespace sbmp {
 
-/// Options for the parallel pipeline engine.
-struct ParallelOptions {
-  /// Worker threads. 0 = one per hardware thread; 1 runs every loop
-  /// inline on the calling thread in program order — bit-identical to
-  /// the serial `run_pipeline(Program)` engine.
-  int jobs = 0;
-  /// Memoize per-loop results (see ResultCache). Identical (loop,
-  /// options) pairs — common in benchmark grids that sweep machine
-  /// cases and schedulers over one suite — compile and schedule once.
-  bool use_cache = true;
-};
-
 /// Thread-safe memo table for pipeline runs.
 ///
 /// The key is the exact input of `run_pipeline(Loop, PipelineOptions)`:
@@ -34,12 +22,12 @@ struct ParallelOptions {
 /// keys are the same pure computation, so a hit returns a shared
 /// immutable report with no locking beyond the map probe.
 ///
-/// The table is sharded N ways by a stable key fingerprint, so
-/// `run_pipeline_parallel --jobs N` and ScheduleServer batch fan-out
-/// contend on a lock only when two workers touch keys in the same
-/// shard, not on every probe. Which shard holds a key is an internal
-/// layout detail: lookup/insert semantics are identical at any shard
-/// count, including 1 (the old single-mutex table).
+/// The table is sharded N ways by a stable key fingerprint, so batch
+/// compile() over N jobs and ScheduleServer batch fan-out contend on a
+/// lock only when two workers touch keys in the same shard, not on every
+/// probe. Which shard holds a key is an internal layout detail:
+/// lookup/insert semantics are identical at any shard count, including 1
+/// (the old single-mutex table).
 ///
 /// In front of the shards sits a small fixed-size `thread_local` L1 (64
 /// open-addressed entries, two probe slots per key), so repeat lookups
@@ -130,27 +118,5 @@ class ResultCache {
   Counter* misses_;
   Counter* l1_hits_;
 };
-
-/// `run_pipeline(loop, options)` through `cache` (nullptr = uncached).
-[[nodiscard]] LoopReport run_pipeline_cached(const Loop& loop,
-                                             const PipelineOptions& options,
-                                             ResultCache* cache);
-
-/// `compare_schedulers` with both runs routed through `cache`.
-[[nodiscard]] SchedulerComparison compare_schedulers_cached(
-    const Loop& loop, const PipelineOptions& base_options,
-    ResultCache* cache);
-
-/// Parallel pipeline engine: compiles, schedules and simulates each loop
-/// of `program` on its own worker (LoopReports are independent value
-/// types) and aggregates into a ProgramReport deterministically — loops
-/// appear in program order and every total is accumulated in that order,
-/// so the result is identical for any job count, and `jobs = 1` executes
-/// the exact serial engine. `cache` (optional) memoizes across calls;
-/// with `parallel.use_cache` and no external cache, a per-call cache
-/// still deduplicates repeated loops within `program`.
-[[nodiscard]] ProgramReport run_pipeline_parallel(
-    const Program& program, const PipelineOptions& options,
-    const ParallelOptions& parallel = {}, ResultCache* cache = nullptr);
 
 }  // namespace sbmp

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sbmp/codegen/codegen.h"
@@ -49,20 +48,11 @@ struct PipelineOptions {
   /// scheduler: when the heuristic placement simulates slower than plain
   /// list scheduling (possible when everything sits on the critical
   /// path and packing noise dominates), fall back to the list schedule.
+  /// The guard pays only for what it can win: the list schedule's own
+  /// analytic lower bound skips the comparison when the list cannot be
+  /// strictly faster, and otherwise the list simulation stops at the
+  /// sync-aware time. Both shortcuts are exact (docs/perf.md).
   bool never_degrade = true;
-  /// Cost control for the never-degrade guard, on by default: before the
-  /// list schedule is even built, the schedule-free analytic lower bound
-  /// (schedule_free_lower_bound) decides whether ANY schedule could beat
-  /// the sync-aware result — when it cannot, the fallback schedule and
-  /// simulation are skipped entirely; when it might, the fallback
-  /// simulation runs with a cutoff at the sync-aware parallel time and
-  /// aborts the moment "list loses" is proven. Both shortcuts are exact
-  /// (the monotonicity/bound arguments are in docs/perf.md), so the
-  /// compiled artifact is byte-identical either way and this flag is NOT
-  /// part of any cache key — it exists only as an A/B escape hatch
-  /// (sbmpc --no-never-degrade-prefilter) forcing the old full
-  /// schedule + full simulate path.
-  bool never_degrade_prefilter = true;
   /// Run the cross-layer validator (validate_pipeline) on every loop:
   /// Sig/Wat pairing integrity, the paper's two synchronization
   /// conditions re-resolved from the sync layer (independent of DFG
@@ -73,25 +63,15 @@ struct PipelineOptions {
   /// Slack (in cycles) granted to the analytic-vs-simulated
   /// cross-checks; 0 demands the exact relations.
   std::int64_t validate_tolerance = 0;
-  /// Directory of the persistent content-addressed schedule cache
-  /// (sbmp/serve/disk_cache.h); empty disables it. NOT part of any
-  /// cache key: where a report is stored cannot change its bytes, so
-  /// ResultCache::key and the serve-layer fingerprint both skip it —
-  /// adding it would make every directory a disjoint key space for
-  /// identical artifacts.
-  std::string cache_dir;
-  /// Size cap (bytes) for the on-disk cache; oldest entries are evicted
-  /// first. Like cache_dir, never part of a cache key.
-  std::int64_t cache_max_bytes = 256ll << 20;
   /// Observability hooks (sbmp/obs): when set, every pipeline phase
   /// (dep → sync → codegen → dfg → schedule → sim → validate) opens a
   /// span on `tracer` and observes its latency on `metrics`, and the
   /// per-loop facts the paper's technique turns on (LBD/LFD pair counts,
   /// worst i−j sync span, waits eliminated, never-degrade fallbacks)
   /// travel as span arguments. Instrumentation observes a compile; it
-  /// can never change its bytes — so like cache_dir these are NOT part
-  /// of any cache key and are never serialized, and both nullptr (the
-  /// default) costs two pointer tests per phase.
+  /// can never change its bytes — so these are NOT part of any cache key
+  /// and are never serialized, and both nullptr (the default) costs two
+  /// pointer tests per phase.
   Tracer* tracer = nullptr;
   MetricsRegistry* metrics = nullptr;
 
@@ -124,15 +104,14 @@ struct LoopReport {
   /// True when the never-degrade guard replaced the sync-aware schedule
   /// with the list schedule.
   bool used_list_fallback = false;
-  /// True when the analytic pre-filter proved no schedule could beat the
-  /// sync-aware result and the fallback schedule + simulation were
-  /// skipped. Purely observational (the artifact is byte-identical with
-  /// or without the skip): never serialized, never part of a cache key.
+  /// Always false. The schedule-free pre-filter that set it could never
+  /// fire and is gone; the field stays only because clockbench reads it.
   bool fallback_prefiltered = false;
-  /// True when the list schedule was built but its own analytic lower
-  /// bound (scheduled_lower_bound) already met the sync-aware time, so
+  /// True when the list placement's own analytic lower bound
+  /// (scheduled_lower_bound) already met the sync-aware time, so
   /// the fallback simulation was skipped — "list strictly faster" was
-  /// impossible. Observational only, like fallback_prefiltered.
+  /// impossible. Purely observational (the artifact is byte-identical
+  /// either way): never serialized, never part of a cache key.
   bool fallback_sim_skipped = false;
   std::vector<std::string> schedule_violations;
   std::vector<std::string> ordering_violations;
@@ -176,15 +155,14 @@ struct ProgramReport {
 class ResultCache;  // sbmp/core/parallel.h
 
 // ---------------------------------------------------------------------
-// Unified compile facade.
+// Compile facade.
 //
-// This is the one front door for "compile this loop (or these loops)
-// under these options": sbmpc, sbmpd, the serving layer and the benches
-// all route through it, so caching, failure folding and instrumentation
-// behave identically everywhere. The older free functions below
-// (run_pipeline, run_pipeline_parallel in parallel.h) remain as thin
-// wrappers for source compatibility and should be treated as deprecated:
-// new call sites use compile().
+// compile() is the one front door for "compile this loop (or these
+// loops) under these options": sbmpc, sbmpd, the serving layer and the
+// benches all route through it, so caching, failure folding and
+// instrumentation behave identically everywhere. run_pipeline is the
+// throwing single-loop engine underneath it, and compare_schedulers runs
+// that engine once per scheduler.
 
 /// One unit of compile work. This is also the request type the serving
 /// layer's batch API and the sbmpd wire protocol are built from.
@@ -195,7 +173,7 @@ struct CompileRequest {
 
 /// Outcome of one CompileRequest. Never throws out of the facade: a
 /// refused or failed compile yields a stub report whose `status` carries
-/// the structured error (exactly the stub a program-level engine folds).
+/// the structured error (exactly the stub a batch compile folds).
 struct CompileResult {
   LoopReport report;
 
@@ -207,8 +185,7 @@ struct CompileResult {
 [[nodiscard]] CompileResult compile(const CompileRequest& request,
                                     ResultCache* cache = nullptr);
 
-/// Batch knobs for the facade (the program-level engines are wrappers
-/// over this).
+/// Batch knobs for compile(requests).
 struct CompileBatchOptions {
   /// Worker threads: 0 = one per hardware thread, 1 = inline on the
   /// calling thread in request order (bit-identical to a serial loop).
@@ -219,9 +196,9 @@ struct CompileBatchOptions {
 };
 
 /// Compiles every request, fanned out over `batch.jobs` workers, and
-/// aggregates into a ProgramReport exactly like the program engines:
-/// order-stable (loops[i] answers requests[i]), failure-isolated, and
-/// byte-identical for any job count.
+/// aggregates into a ProgramReport: order-stable (loops[i] answers
+/// requests[i]), failure-isolated (a refused loop leaves a stub report
+/// and a `failures` entry), and byte-identical for any job count.
 [[nodiscard]] ProgramReport compile(const std::vector<CompileRequest>& requests,
                                     const CompileBatchOptions& batch = {},
                                     ResultCache* cache = nullptr);
@@ -229,8 +206,7 @@ struct CompileBatchOptions {
 /// Runs the full pipeline on one loop. Throws StatusError (code kInput)
 /// when the loop carries an irregular dependence that the paper's
 /// Wait(S, i-d) scheme cannot synchronize — compiling it anyway would
-/// silently produce a racy binary. Prefer the non-throwing compile()
-/// facade in new code.
+/// silently produce a racy binary. compile() is the non-throwing form.
 [[nodiscard]] LoopReport run_pipeline(const Loop& loop,
                                       const PipelineOptions& options);
 
@@ -260,15 +236,6 @@ struct CompileBatchOptions {
 [[nodiscard]] LoopReport run_pipeline(const PreLoop& pre,
                                       const PipelineOptions& options);
 
-/// Runs the pipeline on each loop of `program` and aggregates.
-[[nodiscard]] ProgramReport run_pipeline(const Program& program,
-                                         const PipelineOptions& options);
-
-/// Parses `source` and runs the pipeline on every loop in it. Throws
-/// SbmpError on parse failure.
-[[nodiscard]] ProgramReport run_pipeline_source(std::string_view source,
-                                                const PipelineOptions& options);
-
 /// Side-by-side result of two schedulers on the same loop, the paper's
 /// core comparison.
 struct SchedulerComparison {
@@ -288,7 +255,11 @@ struct SchedulerComparison {
   [[nodiscard]] double improvement() const;
 };
 
+/// Compiles `loop` under the list and the sync-aware scheduler, both
+/// through `cache` when one is given (nullptr = uncached). Throws
+/// StatusError carrying the refusal when the loop cannot be compiled.
 [[nodiscard]] SchedulerComparison compare_schedulers(
-    const Loop& loop, const PipelineOptions& base_options);
+    const Loop& loop, const PipelineOptions& base_options,
+    ResultCache* cache = nullptr);
 
 }  // namespace sbmp

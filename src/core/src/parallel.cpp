@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine_detail.h"
 #include "sbmp/support/hash.h"
 #include "sbmp/support/overflow.h"
 #include "sbmp/support/thread_pool.h"
@@ -103,6 +102,54 @@ std::uint64_t next_generation() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// run_pipeline with every per-loop failure converted into a stub
+/// LoopReport carrying the structured status (never throws pipeline
+/// errors).
+LoopReport run_pipeline_caught(const Loop& loop,
+                               const PipelineOptions& options) {
+  try {
+    return run_pipeline(loop, options);
+  } catch (const StatusError& e) {
+    LoopReport stub;
+    stub.name = loop.name;
+    stub.loop = loop;
+    stub.status = e.status();
+    return stub;
+  } catch (const SbmpError& e) {
+    // A stage threw a bare string error: the input does not explain it,
+    // so classify as internal rather than guessing.
+    LoopReport stub;
+    stub.name = loop.name;
+    stub.loop = loop;
+    stub.status = Status::error(StatusCode::kInternal, "pipeline", e.what());
+    return stub;
+  }
+}
+
+/// Folds one loop's report into the program aggregate: records the
+/// failure (if any), updates the doall/doacross totals for loops that
+/// simulated, and appends the report.
+void fold_loop_report(ProgramReport& out, std::size_t index,
+                      LoopReport report) {
+  if (!report.status.ok()) {
+    out.failures.push_back({static_cast<std::int64_t>(index),
+                            report.status.to_string()});
+  }
+  // A loop that simulated contributes to the totals even when it failed
+  // validation (the numbers exist and are being reported alongside the
+  // failure); a stub from a thrown stage has no DFG and no numbers.
+  if (report.dfg.has_value()) {
+    if (report.doall) {
+      ++out.doall_loops;
+    } else {
+      ++out.doacross_loops;
+      out.total_parallel_time =
+          sat_add(out.total_parallel_time, report.parallel_time());
+    }
+  }
+  out.loops.push_back(std::move(report));
+}
+
 }  // namespace
 
 std::string ResultCache::key(const Loop& loop,
@@ -155,8 +202,6 @@ std::string ResultCache::key(const Loop& loop,
   append_int(out, options.never_degrade ? 1 : 0);
   append_int(out, options.validate ? 1 : 0);
   append_int(out, options.validate_tolerance);
-  // cache_dir / cache_max_bytes are deliberately absent: they choose
-  // where artifacts live, never what the pipeline computes.
   return out;
 }
 
@@ -241,32 +286,28 @@ std::size_t ResultCache::size() const {
   return total;
 }
 
-LoopReport run_pipeline_cached(const Loop& loop,
-                               const PipelineOptions& options,
-                               ResultCache* cache) {
-  if (cache == nullptr) return run_pipeline(loop, options);
-  const std::string key = ResultCache::key(loop, options);
-  if (const auto hit = cache->lookup(key)) return *hit;
-  return *cache->insert(key, run_pipeline(loop, options));
-}
-
-SchedulerComparison compare_schedulers_cached(
-    const Loop& loop, const PipelineOptions& base_options,
-    ResultCache* cache) {
+SchedulerComparison compare_schedulers(const Loop& loop,
+                                       const PipelineOptions& base_options,
+                                       ResultCache* cache) {
+  const auto run = [&](SchedulerKind scheduler) {
+    CompileRequest request{loop, base_options};
+    request.options.scheduler = scheduler;
+    CompileResult result = compile(request, cache);
+    // Unlike compile(), a comparison of a loop that never reached a
+    // schedule has nothing to report: throw its status.
+    if (!result.report.dfg.has_value()) throw StatusError(result.report.status);
+    return std::move(result.report);
+  };
   SchedulerComparison out;
-  PipelineOptions options = base_options;
-  options.scheduler = SchedulerKind::kList;
-  out.baseline = run_pipeline_cached(loop, options, cache);
-  options.scheduler = SchedulerKind::kSyncAware;
-  out.improved = run_pipeline_cached(loop, options, cache);
+  out.baseline = run(SchedulerKind::kList);
+  out.improved = run(SchedulerKind::kSyncAware);
   return out;
 }
 
 CompileResult compile(const CompileRequest& request, ResultCache* cache) {
   CompileResult out;
   if (cache == nullptr) {
-    out.report = core_detail::run_pipeline_caught(request.loop,
-                                                  request.options);
+    out.report = run_pipeline_caught(request.loop, request.options);
     return out;
   }
   const std::string key = ResultCache::key(request.loop, request.options);
@@ -274,14 +315,12 @@ CompileResult compile(const CompileRequest& request, ResultCache* cache) {
     out.report = *hit;
     return out;
   }
-  LoopReport report =
-      core_detail::run_pipeline_caught(request.loop, request.options);
+  LoopReport report = run_pipeline_caught(request.loop, request.options);
   if (report.dfg.has_value()) {
     // Completed compiles are cacheable even when validation failed (the
     // report — numbers plus violations — is still the deterministic
     // answer for this key). A stub from a thrown stage carries no DFG
-    // and is not cached, matching run_pipeline_cached, which also
-    // caches nothing when run_pipeline throws.
+    // and is not cached.
     out.report = *cache->insert(key, std::move(report));
   } else {
     out.report = std::move(report);
@@ -293,8 +332,7 @@ ProgramReport compile(const std::vector<CompileRequest>& requests,
                       const CompileBatchOptions& batch, ResultCache* cache) {
   ResultCache local;
   // use_cache == false disables memoization entirely, including any
-  // external cache — the knob means "recompute everything", exactly as
-  // ParallelOptions::use_cache always has.
+  // external cache — the knob means "recompute everything".
   ResultCache* effective =
       batch.use_cache ? (cache != nullptr ? cache : &local) : nullptr;
 
@@ -311,25 +349,12 @@ ProgramReport compile(const std::vector<CompileRequest>& requests,
       },
       &compile_tuner);
 
-  // Order-stable aggregation: identical to the serial engine's loop.
+  // Order-stable aggregation: request order, whatever the job count.
   ProgramReport out;
   out.loops.reserve(reports.size());
   for (std::size_t i = 0; i < reports.size(); ++i)
-    core_detail::fold_loop_report(out, i, std::move(reports[i]));
+    fold_loop_report(out, i, std::move(reports[i]));
   return out;
-}
-
-ProgramReport run_pipeline_parallel(const Program& program,
-                                    const PipelineOptions& options,
-                                    const ParallelOptions& parallel,
-                                    ResultCache* cache) {
-  std::vector<CompileRequest> requests;
-  requests.reserve(program.loops.size());
-  for (const Loop& loop : program.loops) requests.push_back({loop, options});
-  CompileBatchOptions batch;
-  batch.jobs = parallel.jobs;
-  batch.use_cache = parallel.use_cache;
-  return compile(requests, batch, cache);
 }
 
 }  // namespace sbmp

@@ -119,12 +119,11 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
     span.arg("worst_sync_span", geometry.worst_sync_span);
     span.arg("waits_eliminated", report.waits_eliminated);
     span.arg("list_fallback", report.used_list_fallback ? 1 : 0);
-    span.arg("fallback_prefiltered", report.fallback_prefiltered ? 1 : 0);
     span.arg("fallback_sim_skipped", report.fallback_sim_skipped ? 1 : 0);
     span.arg("parallel_time", report.sim.parallel_time);
   }
   if (MetricsRegistry* metrics = options.metrics) {
-    // Same caching idea as cached_phase_histogram: these seven counters
+    // Same caching idea as cached_phase_histogram: these six counters
     // tick for every compiled loop, so resolve them once per (thread,
     // registry) and pay only pointer increments afterwards.
     struct LoopCounters {
@@ -134,7 +133,6 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
       Counter* lfd_pairs = nullptr;
       Counter* waits_eliminated = nullptr;
       Counter* list_fallback = nullptr;
-      Counter* fallback_skipped = nullptr;
       Counter* fallback_sim_skipped = nullptr;
     };
     thread_local LoopCounters cached;
@@ -147,8 +145,6 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
           metrics->counter("sbmp_compile_waits_eliminated_total");
       cached.list_fallback =
           metrics->counter("sbmp_compile_list_fallback_total");
-      cached.fallback_skipped =
-          metrics->counter("sbmp_compile_fallback_skipped_total");
       cached.fallback_sim_skipped =
           metrics->counter("sbmp_compile_fallback_sim_skipped_total");
     }
@@ -157,7 +153,6 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
     cached.lfd_pairs->inc(geometry.lfd_pairs);
     cached.waits_eliminated->inc(report.waits_eliminated);
     if (report.used_list_fallback) cached.list_fallback->inc();
-    if (report.fallback_prefiltered) cached.fallback_skipped->inc();
     if (report.fallback_sim_skipped) cached.fallback_sim_skipped->inc();
   }
 }
@@ -248,59 +243,38 @@ LoopReport run_pipeline(const Loop& loop, const PipelineOptions& options) {
     // The paper's technique never degrades versus list scheduling; when
     // the phased placement loses to it (dense critical paths where
     // packing noise dominates), keep the list schedule instead. The
-    // guard pays only for what it can win: the schedule-free analytic
-    // bound skips the whole comparison when no schedule could beat the
-    // sync-aware result, and the fallback simulation otherwise carries a
-    // cutoff at the sync-aware time so a losing list schedule stops the
-    // moment the loss is proven. Both shortcuts keep the
-    // used_list_fallback decision — and the winner's bytes — exactly
-    // identical to the unconditional full path (see docs/perf.md), so
-    // never_degrade_prefilter is an A/B switch, not a semantic one.
+    // guard pays only for what it can win, and both of its shortcuts
+    // keep the used_list_fallback decision — and the winner's bytes —
+    // exactly those of a full list build and unbounded simulation (see
+    // docs/perf.md).
     PhaseScope phase(options, "fallback");
-    // First filter: run the list placement slots-only (identical
-    // decisions to schedule_list, no group lists materialized) and
-    // evaluate the analytic lower bound of that slot assignment. When
-    // the bound already meets the sync-aware time, list_time >= bound
-    // >= sync_time and "strictly faster" is impossible — neither the
-    // materialized schedule nor the simulation is ever needed, with the
-    // identical decision. This check dominates the schedule-free
-    // pre-filter below (arc latencies force slot(v) >= up(v), so every
-    // term of the schedule-free bound is <= the corresponding term
-    // here), which is why it runs first: on the corpus it resolves
-    // ~97% of loops and the weaker bound would be pure added cost.
-    bool sim_skipped = false;
-    if (options.never_degrade_prefilter) {
-      thread_local std::vector<int> list_slots;
-      const int list_len = schedule_list_slots(report.tac, *report.dfg,
-                                               options.machine, list_slots);
-      const std::int64_t list_bound =
-          scheduled_lower_bound(report.tac, *report.dfg, options.machine,
-                                list_slots, list_len, iterations);
-      sim_skipped = report.sim.parallel_time <= list_bound;
-    }
-    if (sim_skipped) {
+    // Run the list placement slots-only (identical decisions to
+    // schedule_list, no group lists materialized) and evaluate the
+    // analytic lower bound of that slot assignment. When the bound
+    // already meets the sync-aware time, list_time >= bound >= sync_time
+    // and "strictly faster" is impossible: neither the materialized
+    // schedule nor the simulation is needed. On the corpus this decides
+    // ~97% of loops.
+    thread_local std::vector<int> list_slots;
+    const int list_len = schedule_list_slots(report.tac, *report.dfg,
+                                             options.machine, list_slots);
+    const std::int64_t list_bound =
+        scheduled_lower_bound(report.tac, *report.dfg, options.machine,
+                              list_slots, list_len, iterations);
+    if (report.sim.parallel_time <= list_bound) {
       report.fallback_sim_skipped = true;
-    } else if (options.never_degrade_prefilter &&
-               report.sim.parallel_time <=
-                   schedule_free_lower_bound(report.tac, *report.dfg,
-                                             options.machine, iterations)) {
-      // Schedule-free pre-filter: no schedule at all could beat the
-      // sync-aware time, so the same skip follows without naming the
-      // list schedule. Dominated by the slots bound above, so this is
-      // reachable only off the corpus; kept for the A/B flag's sake and
-      // because it certifies a strictly stronger fact.
-      report.fallback_prefiltered = true;
     } else {
       Schedule list = schedule_list(report.tac, *report.dfg, options.machine);
+      // parallel_time is a running max, so the list simulation can stop
+      // the moment it reaches the sync-aware time: a cutoff hit
+      // certifies list_time >= sync_time, and a completed run compares
+      // exact values. Either way the strict-< decision matches the
+      // unbounded simulation bit for bit.
       SimOptions fallback_sim_options = sim_options;
-      if (options.never_degrade_prefilter)
-        fallback_sim_options.cutoff_time = report.sim.parallel_time;
+      fallback_sim_options.cutoff_time = report.sim.parallel_time;
       const SimResult list_sim = simulate(report.tac, *report.dfg, list,
                                           options.machine,
                                           fallback_sim_options);
-      // A cutoff hit certifies list_time >= sync_time; a completed run
-      // compares exact values. Either way the strict-< decision
-      // matches the unbounded simulation bit for bit.
       if (!list_sim.cutoff_hit &&
           list_sim.parallel_time < report.sim.parallel_time) {
         report.schedule = std::move(list);
@@ -470,71 +444,6 @@ StatusCode ProgramReport::worst_status() const {
   return worst;
 }
 
-namespace core_detail {
-
-LoopReport run_pipeline_caught(const Loop& loop,
-                               const PipelineOptions& options) {
-  try {
-    return run_pipeline(loop, options);
-  } catch (const StatusError& e) {
-    LoopReport stub;
-    stub.name = loop.name;
-    stub.loop = loop;
-    stub.status = e.status();
-    return stub;
-  } catch (const SbmpError& e) {
-    // A stage threw a bare string error: the input does not explain it,
-    // so classify as internal rather than guessing.
-    LoopReport stub;
-    stub.name = loop.name;
-    stub.loop = loop;
-    stub.status = Status::error(StatusCode::kInternal, "pipeline", e.what());
-    return stub;
-  }
-}
-
-void fold_loop_report(ProgramReport& out, std::size_t index,
-                      LoopReport report) {
-  if (!report.status.ok()) {
-    out.failures.push_back({static_cast<std::int64_t>(index),
-                            report.status.to_string()});
-  }
-  // A loop that simulated contributes to the totals even when it failed
-  // validation (the numbers exist and are being reported alongside the
-  // failure); a stub from a thrown stage has no DFG and no numbers.
-  if (report.dfg.has_value()) {
-    if (report.doall) {
-      ++out.doall_loops;
-    } else {
-      ++out.doacross_loops;
-      out.total_parallel_time =
-          sat_add(out.total_parallel_time, report.parallel_time());
-    }
-  }
-  out.loops.push_back(std::move(report));
-}
-
-}  // namespace core_detail
-
-ProgramReport run_pipeline(const Program& program,
-                           const PipelineOptions& options) {
-  // Thin wrapper over the facade: jobs = 1 runs inline in program order
-  // and use_cache = false recompiles every loop, which is exactly the
-  // historical serial engine.
-  std::vector<CompileRequest> requests;
-  requests.reserve(program.loops.size());
-  for (const Loop& loop : program.loops) requests.push_back({loop, options});
-  CompileBatchOptions batch;
-  batch.jobs = 1;
-  batch.use_cache = false;
-  return compile(requests, batch);
-}
-
-ProgramReport run_pipeline_source(std::string_view source,
-                                  const PipelineOptions& options) {
-  return run_pipeline(parse_program_or_throw(source), options);
-}
-
 std::optional<double> SchedulerComparison::improvement_opt() const {
   const auto ta = static_cast<double>(baseline.parallel_time());
   const auto tb = static_cast<double>(improved.parallel_time());
@@ -547,17 +456,6 @@ double SchedulerComparison::improvement() const {
   assert(value.has_value() &&
          "non-positive baseline parallel time: upstream pipeline failure");
   return value.value_or(std::numeric_limits<double>::quiet_NaN());
-}
-
-SchedulerComparison compare_schedulers(const Loop& loop,
-                                       const PipelineOptions& base_options) {
-  SchedulerComparison out;
-  PipelineOptions options = base_options;
-  options.scheduler = SchedulerKind::kList;
-  out.baseline = run_pipeline(loop, options);
-  options.scheduler = SchedulerKind::kSyncAware;
-  out.improved = run_pipeline(loop, options);
-  return out;
 }
 
 }  // namespace sbmp

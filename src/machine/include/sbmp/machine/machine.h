@@ -138,10 +138,6 @@ struct MachineDesc {
   [[nodiscard]] std::string label() const;
 
   [[nodiscard]] bool operator==(const MachineDesc&) const = default;
-
-  /// Deprecated: use machines::paper(issue_width, fus_per_class).
-  [[deprecated("use machines::paper(issue_width, fus_per_class)")]]
-  [[nodiscard]] static MachineDesc paper(int issue_width, int fus_per_class);
 };
 
 /// Parses the canonical MachineDesc form (see docs/machines.md for the
@@ -165,8 +161,5 @@ namespace machines {
 [[nodiscard]] MachineDesc default_machine();
 
 }  // namespace machines
-
-/// Deprecated alias for the historical name; new code says MachineDesc.
-using MachineConfig = MachineDesc;
 
 }  // namespace sbmp

@@ -212,10 +212,6 @@ std::string MachineDesc::label() const {
   return out;
 }
 
-MachineDesc MachineDesc::paper(int issue_width, int fus_per_class) {
-  return machines::paper(issue_width, fus_per_class);
-}
-
 Status parse_machine_desc(std::string_view text, MachineDesc* out) {
   MachineDesc desc = machines::default_machine();
   bool seen[6] = {};  // issue, fu, lat, sync, sig, buf

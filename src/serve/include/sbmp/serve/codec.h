@@ -37,8 +37,7 @@ inline constexpr std::int64_t kScheduleCacheFormatVersion = 1;
 /// over the canonical LoopLang rendering of `loop`, every
 /// PipelineOptions field that can change the report (the same set
 /// ResultCache::key pins, and in the same order), and the format
-/// version. cache_dir/cache_max_bytes are excluded — storage location
-/// must not partition the key space.
+/// version.
 [[nodiscard]] Fingerprint schedule_fingerprint(const Loop& loop,
                                                const PipelineOptions& options);
 
@@ -61,7 +60,7 @@ inline constexpr std::int64_t kScheduleCacheFormatVersion = 1;
                                         LoopReport* out);
 
 /// Serializes every semantically relevant PipelineOptions field for the
-/// wire protocol (cache_dir/cache_max_bytes stay host-local).
+/// wire protocol.
 [[nodiscard]] std::string encode_pipeline_options(
     const PipelineOptions& options);
 

@@ -42,37 +42,9 @@ namespace sbmp {
 /// quantity the paper's technique minimizes.
 [[nodiscard]] int worst_sync_span(const Dfg& dfg, const Schedule& schedule);
 
-/// Lower bound on the simulated parallel time of ANY schedule of `tac`
-/// that orders every DFG arc into a strictly later group (the invariant
-/// verify_schedule enforces and both schedulers construct), executing
-/// `n` iterations on any processor count. Unlike analytic_lower_bound
-/// this needs no schedule and no simulated iteration time — it reads
-/// only the DFG structure:
-///
-///  * crit: the latency-weighted critical path through one iteration
-///    (longest arc path plus the final result drain). The simulator's
-///    operand-readiness rule forces issue(v) >= start + up(v) and
-///    finish >= issue(v) + down(v), so every iteration — and therefore
-///    the parallel time — is >= crit.
-///  * per sync pair (wait w, send s, distance d): when the DFG carries a
-///    w -> s path of total latency P, the chain
-///      issue_k(w) >= issue_{k-d}(s) + net >= issue_{k-d}(w) + P + net
-///    links floor((n-1)/d) times, giving
-///      floor((n-1)/d) * (P + net) + up(w) + down(w).
-///
-/// The bound is exact for the single-pair unit-latency loops of the LBD
-/// theorem and valid (never above the simulated time) everywhere else,
-/// which makes it a sound pre-filter: a schedule already at or below the
-/// bound cannot be beaten by any alternative schedule.
-[[nodiscard]] std::int64_t schedule_free_lower_bound(
-    const TacFunction& tac, const Dfg& dfg, const MachineDesc& config,
-    std::int64_t n);
-
-/// Lower bound on the simulated parallel time of `schedule` ITSELF (not
-/// of every possible schedule, which is what schedule_free_lower_bound
-/// answers), executing `n` iterations on any processor count. Derived
-/// purely from the simulator's issue recurrences, so it needs no
-/// simulation:
+/// Lower bound on the simulated parallel time of `schedule`, executing
+/// `n` iterations on any processor count. Derived purely from the
+/// simulator's issue recurrences, so it needs no simulation:
 ///
 ///  * groups issue strictly in order (issue(g) >= issue(g-1) + 1) and
 ///    iteration 0 starts at cycle 0, so with suffix(s) = max over

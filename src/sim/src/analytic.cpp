@@ -36,92 +36,6 @@ std::int64_t analytic_lower_bound(const Dfg& dfg, const Schedule& schedule,
   return worst;
 }
 
-namespace {
-
-/// Per-thread sweep buffers for the analytic bounds. Both bounds sit on
-/// the compile hot path (the never-degrade guard evaluates one or two
-/// per loop), so their O(instrs) scratch is retained across calls
-/// instead of reallocated; the functions fully overwrite what they use.
-struct AnalyticScratch {
-  std::vector<std::int64_t> up;
-  std::vector<std::int64_t> down;
-  std::vector<std::int64_t> dist;
-  std::vector<std::int64_t> suffix;
-};
-
-AnalyticScratch& analytic_scratch() {
-  thread_local AnalyticScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-std::int64_t schedule_free_lower_bound(const TacFunction& tac, const Dfg& dfg,
-                                       const MachineDesc& config,
-                                       std::int64_t n) {
-  if (n <= 0) return 0;
-  const int size = dfg.size();
-  // Instruction ids are a topological order of the DFG (defs precede
-  // uses, memory/sync arcs point forward — see Dfg's construction), so
-  // one forward sweep gives up[] and one backward sweep gives down[].
-  //   up[v]:   longest latency-weighted arc path into v (0 at roots);
-  //   down[v]: longest arc path out of v plus the final result drain.
-  AnalyticScratch& scratch = analytic_scratch();
-  std::vector<std::int64_t>& up = scratch.up;
-  std::vector<std::int64_t>& down = scratch.down;
-  up.assign(static_cast<std::size_t>(size) + 1, 0);
-  down.assign(static_cast<std::size_t>(size) + 1, 0);
-  for (int v = 1; v <= size; ++v) {
-    for (const DfgEdge& e : dfg.preds(v)) {
-      const std::int64_t reach =
-          sat_add(up[static_cast<std::size_t>(e.from)], e.latency);
-      if (reach > up[static_cast<std::size_t>(v)])
-        up[static_cast<std::size_t>(v)] = reach;
-    }
-  }
-  std::int64_t crit = 0;
-  for (int v = size; v >= 1; --v) {
-    std::int64_t d = config.latency(tac.by_id(v).op);
-    for (const DfgEdge& e : dfg.succs(v)) {
-      const std::int64_t reach =
-          sat_add(down[static_cast<std::size_t>(e.to)], e.latency);
-      if (reach > d) d = reach;
-    }
-    down[static_cast<std::size_t>(v)] = d;
-    crit = std::max(crit, sat_add(up[static_cast<std::size_t>(v)], d));
-  }
-
-  std::int64_t bound = crit;
-  std::vector<std::int64_t>& dist = scratch.dist;
-  for (const auto& pair : dfg.pairs()) {
-    if (pair.distance <= 0) continue;
-    // Longest wait -> send arc path. When the send is unreachable the
-    // pair constrains nothing schedule-independently (placement can make
-    // it LFD), so it contributes no term.
-    constexpr std::int64_t kUnreachable = -1;
-    dist.assign(static_cast<std::size_t>(size) + 1, kUnreachable);
-    dist[static_cast<std::size_t>(pair.wait_instr)] = 0;
-    for (int v = pair.wait_instr + 1; v <= pair.send_instr; ++v) {
-      for (const DfgEdge& e : dfg.preds(v)) {
-        const std::int64_t from = dist[static_cast<std::size_t>(e.from)];
-        if (from == kUnreachable) continue;
-        const std::int64_t reach = sat_add(from, e.latency);
-        if (reach > dist[static_cast<std::size_t>(v)])
-          dist[static_cast<std::size_t>(v)] = reach;
-      }
-    }
-    const std::int64_t path = dist[static_cast<std::size_t>(pair.send_instr)];
-    if (path == kUnreachable) continue;
-    const std::int64_t shift = sat_add(path, config.signal_latency);
-    const std::int64_t links = (n - 1) / pair.distance;
-    const std::int64_t through =
-        sat_add(up[static_cast<std::size_t>(pair.wait_instr)],
-                down[static_cast<std::size_t>(pair.wait_instr)]);
-    bound = std::max(bound, sat_add(sat_mul(links, shift), through));
-  }
-  return bound;
-}
-
 std::int64_t scheduled_lower_bound(const TacFunction& tac, const Dfg& dfg,
                                    const MachineDesc& config,
                                    const Schedule& schedule, std::int64_t n) {
@@ -144,7 +58,9 @@ std::int64_t scheduled_lower_bound(const TacFunction& tac, const Dfg& dfg,
   // so issue_0(slot(v)) >= slot(v) and the iteration finishes at or
   // after suffix[0]; from any group j onward the same spacing yields the
   // suffix[j] - j tail used by the chain terms below.
-  std::vector<std::int64_t>& suffix = analytic_scratch().suffix;
+  // Retained across calls: the never-degrade guard evaluates this bound
+  // for nearly every compiled loop.
+  thread_local std::vector<std::int64_t> suffix;
   suffix.assign(static_cast<std::size_t>(len), 0);
   for (const auto& instr : tac.instrs) {
     const auto s = static_cast<std::size_t>(slot(instr.id));

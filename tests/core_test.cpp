@@ -88,23 +88,24 @@ end
 }
 
 TEST(Pipeline, DoallLoopsReported) {
-  const ProgramReport report = run_pipeline_source(R"(
+  const Program program = parse_program_or_throw(R"(
 do I = 1, 10
   A[I] = B[I]
 end
 doacross J = 1, 10
   C[J] = C[J-1] + 1
 end
-)",
-                                                   PipelineOptions{});
+)");
+  std::vector<CompileRequest> requests;
+  for (const Loop& loop : program.loops) requests.push_back({loop, {}});
+  const ProgramReport report = compile(requests);
   EXPECT_EQ(report.doall_loops, 1);
   EXPECT_EQ(report.doacross_loops, 1);
   EXPECT_EQ(report.total_parallel_time, report.loops[1].parallel_time());
 }
 
 TEST(Pipeline, SourceErrorsThrow) {
-  EXPECT_THROW((void)run_pipeline_source("do I = \nend", PipelineOptions{}),
-               SbmpError);
+  EXPECT_THROW((void)parse_program_or_throw("do I = \nend"), SbmpError);
 }
 
 TEST(Pipeline, ImprovementSurfacesFailedBaseline) {
@@ -171,11 +172,11 @@ TEST(ResultCacheTest, HitAndMissCountersTrackLookups) {
   const Loop loop = parse_single_loop_or_throw(kChainLoop);
   const PipelineOptions options;
   ResultCache cache;
-  const LoopReport first = run_pipeline_cached(loop, options, &cache);
+  const LoopReport first = compile({loop, options}, &cache).report;
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.misses(), 1);
-  const LoopReport second = run_pipeline_cached(loop, options, &cache);
+  const LoopReport second = compile({loop, options}, &cache).report;
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
@@ -221,12 +222,6 @@ TEST(ResultCacheTest, KeyCoversEveryOutputAffectingOption) {
   EXPECT_TRUE(changes_key([](PipelineOptions& o) { o.validate = false; }));
   EXPECT_TRUE(
       changes_key([](PipelineOptions& o) { o.validate_tolerance = 5; }));
-
-  // The storage knobs cannot change the report, so they must NOT key:
-  // otherwise identical artifacts fragment into per-directory key
-  // spaces (memory and disk caches would disagree about identity).
-  EXPECT_FALSE(changes_key([](PipelineOptions& o) { o.cache_dir = "/d"; }));
-  EXPECT_FALSE(changes_key([](PipelineOptions& o) { o.cache_max_bytes = 1; }));
 
   // The loop text is part of the key too.
   const Loop other = parse_single_loop_or_throw(
@@ -281,7 +276,7 @@ TEST(ResultCacheTest, InsertRaceKeepsTheFirstEntry) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       times[static_cast<std::size_t>(t)] =
-          run_pipeline_cached(loop, options, &cache).parallel_time();
+          compile({loop, options}, &cache).report.parallel_time();
     });
   }
   for (auto& thread : threads) thread.join();
@@ -325,7 +320,7 @@ TEST(ResultCacheL1, RepeatLookupsServeFromTheThreadLocalFront) {
   const PipelineOptions options;
   ResultCache cache;
   const std::string key = ResultCache::key(loop, options);
-  (void)run_pipeline_cached(loop, options, &cache);  // miss; write-through
+  (void)compile({loop, options}, &cache);  // miss; write-through
   const auto first = cache.lookup(key);
   ASSERT_NE(first, nullptr);
   const std::int64_t hits_before = cache.hits();
@@ -351,7 +346,7 @@ TEST(ResultCacheL1, GenerationStampIsolatesLiveInstances) {
   ResultCache a;
   ResultCache b;
   EXPECT_NE(a.generation(), b.generation());
-  (void)run_pipeline_cached(loop, options, &a);
+  (void)compile({loop, options}, &a);
   ASSERT_NE(a.lookup(key), nullptr);  // now hot in this thread's L1
   EXPECT_EQ(b.lookup(key), nullptr);
   EXPECT_EQ(b.hits(), 0);
@@ -370,7 +365,7 @@ TEST(ResultCacheL1, DeadInstanceEntriesNeverLeakIntoANewCache) {
     ResultCache cache;
     EXPECT_EQ(cache.lookup(key), nullptr) << "round " << round;
     EXPECT_EQ(cache.l1_hits(), 0) << "round " << round;
-    (void)run_pipeline_cached(loop, options, &cache);
+    (void)compile({loop, options}, &cache);
     ASSERT_NE(cache.lookup(key), nullptr) << "round " << round;
   }
 }
@@ -383,7 +378,7 @@ TEST(ResultCacheL1, RacingLookupsAcrossThreadsAgreeOnTheShardWinner) {
   const PipelineOptions options;
   ResultCache cache;
   const std::string key = ResultCache::key(loop, options);
-  (void)run_pipeline_cached(loop, options, &cache);
+  (void)compile({loop, options}, &cache);
   const auto winner = cache.lookup(key);
   ASSERT_NE(winner, nullptr);
   parallel_for(8, 0, 512, [&](std::int64_t) {

@@ -122,7 +122,10 @@ do J = 1, 50
 end
 )";
   PipelineOptions options = paper_options(SchedulerKind::kSyncAware);
-  const ProgramReport report = run_pipeline_source(two_loops, options);
+  std::vector<CompileRequest> requests;
+  for (const Loop& loop : parse_program_or_throw(two_loops).loops)
+    requests.push_back({loop, options});
+  const ProgramReport report = compile(requests);
   ASSERT_EQ(report.loops.size(), 2u);
   EXPECT_EQ(report.doacross_loops, 1);
   EXPECT_EQ(report.doall_loops, 1);

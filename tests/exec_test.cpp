@@ -44,10 +44,10 @@ LoopReport compile_one(const char* source) {
   PipelineOptions options;
   options.machine = machines::paper(4, 1);
   options.iterations = 100;
-  ProgramReport report = run_pipeline_source(source, options);
-  EXPECT_TRUE(report.all_ok());
-  EXPECT_EQ(report.loops.size(), 1u);
-  return std::move(report.loops.front());
+  CompileResult result =
+      compile({parse_single_loop_or_throw(source), options});
+  EXPECT_TRUE(result.ok());
+  return std::move(result.report);
 }
 
 int fuzz_seed_count() {

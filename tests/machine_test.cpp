@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <string>
-#include <type_traits>
 
 #include "sbmp/machine/machine.h"
 #include "sbmp/support/rng.h"
@@ -147,14 +146,6 @@ TEST(MachineDesc, LoadLatencyIsAFirstClassTableEntry) {
   MachineDesc parsed;
   ASSERT_TRUE(parse_machine_desc(machine.to_string(), &parsed).ok());
   EXPECT_EQ(parsed.latency(Opcode::kLoad), 4);
-}
-
-TEST(MachineDesc, MachineConfigAliasStaysUsable) {
-  // MachineConfig is the deprecated spelling of MachineDesc; existing
-  // code that names the old type must keep compiling.
-  const MachineConfig config = machines::paper(2, 1);
-  EXPECT_EQ(config.issue_width, 2);
-  static_assert(std::is_same_v<MachineConfig, MachineDesc>);
 }
 
 class MachineFuzzSeed : public ::testing::TestWithParam<int> {};

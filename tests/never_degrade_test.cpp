@@ -1,16 +1,17 @@
-// Differential suite for the never-degrade guard's cost shortcuts.
+// The never-degrade guard against an independent oracle.
 //
-// The guard's fast path (the analytic pre-filters, the slots-only list
-// build, and the cutoff-bounded fallback simulation) is claimed to be
-// *exact*: the compiled artifact — winning schedule, simulated times,
-// and the used_list_fallback decision — must be byte-identical to the
-// old full-schedule + full-simulate path, which stays reachable through
-// PipelineOptions::never_degrade_prefilter = false (sbmpc
-// --no-never-degrade-prefilter). These tests force both paths over the
-// Perfect corpus and a seed-scaled random sweep and require equality,
-// plus pin the soundness properties the shortcuts rest on: both analytic
-// lower bounds never exceed the simulated time, and schedule_list_slots
-// reproduces schedule_list's placement without materializing it.
+// compile() keeps the sync-aware schedule unless plain list scheduling
+// simulates strictly faster. The guard answers that question cheaply
+// (a slots-only list placement, its analytic lower bound, and a list
+// simulation cut off at the sync-aware time). The oracle here shares no
+// code with those shortcuts: it compiles with the guard off, builds the
+// list schedule with schedule_list, and simulates it to completion on
+// that report's TAC and DFG. The guarded compile must pick the list
+// schedule iff it is strictly faster, with the winner's groups, parallel
+// time and stall cycles. The file also pins the soundness properties the
+// shortcuts rest on: the scheduled lower bound never exceeds the
+// simulated time, and schedule_list_slots reproduces schedule_list's
+// placement without materializing it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "sbmp/core/pipeline.h"
 #include "sbmp/perfect/generator.h"
-#include "sbmp/perfect/suite.h"
 #include "sbmp/sched/schedulers.h"
 #include "sbmp/sim/analytic.h"
 #include "sbmp/sim/simulator.h"
@@ -40,104 +41,141 @@ int fuzz_seed_count() {
   return n > 100000 ? 100000 : n;
 }
 
-/// Asserts the artifact-level equality the prefilter contract promises.
-/// The observational skip flags (fallback_prefiltered,
-/// fallback_sim_skipped) are deliberately NOT compared — they describe
-/// which path ran, which is exactly what differs.
-void expect_identical(const LoopReport& a, const LoopReport& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.used_list_fallback, b.used_list_fallback) << what;
-  EXPECT_EQ(a.sim.parallel_time, b.sim.parallel_time) << what;
-  EXPECT_EQ(a.sim.iteration_time, b.sim.iteration_time) << what;
-  EXPECT_EQ(a.sim.stall_cycles, b.sim.stall_cycles) << what;
-  EXPECT_EQ(a.sim.schedule_length, b.sim.schedule_length) << what;
-  EXPECT_EQ(a.schedule.groups, b.schedule.groups) << what;
-  EXPECT_EQ(a.schedule.slot_of, b.schedule.slot_of) << what;
-  EXPECT_EQ(a.waits_eliminated, b.waits_eliminated) << what;
-  EXPECT_EQ(a.status.ok(), b.status.ok()) << what;
+/// Which of the guard's routes the checked compiles took.
+struct GuardRoutes {
+  int bound_skips = 0;  ///< the list bound ruled the list out
+  int simulations = 0;  ///< the list schedule was simulated
+  int list_wins = 0;    ///< ...and replaced the sync-aware schedule
+};
+
+/// Checks `guarded`, the default compile of `request`, against the
+/// oracle described in the file comment.
+void expect_matches_oracle(const CompileRequest& request,
+                           const LoopReport& guarded,
+                           const std::string& what,
+                           GuardRoutes* routes = nullptr) {
+  PipelineOptions raw_options = request.options;
+  raw_options.never_degrade = false;
+  const LoopReport raw = compile({request.loop, raw_options}).report;
+  ASSERT_EQ(guarded.dfg.has_value(), raw.dfg.has_value()) << what;
+  if (!raw.dfg.has_value()) return;  // refused with or without the guard
+
+  const MachineDesc& machine = request.options.machine;
+  const Schedule list = schedule_list(raw.tac, *raw.dfg, machine);
+  SimOptions sim_options;
+  sim_options.iterations = request.options.resolved_iterations(request.loop);
+  sim_options.processors = request.options.processors;
+  const SimResult list_sim =
+      simulate(raw.tac, *raw.dfg, list, machine, sim_options);
+
+  const bool list_wins = list_sim.parallel_time < raw.sim.parallel_time;
+  const Schedule& want = list_wins ? list : raw.schedule;
+  const SimResult& want_sim = list_wins ? list_sim : raw.sim;
+  EXPECT_EQ(guarded.used_list_fallback, list_wins) << what;
+  EXPECT_EQ(guarded.schedule.groups, want.groups) << what;
+  EXPECT_EQ(guarded.sim.parallel_time, want_sim.parallel_time) << what;
+  EXPECT_EQ(guarded.sim.stall_cycles, want_sim.stall_cycles) << what;
+  if (routes != nullptr) {
+    if (guarded.fallback_sim_skipped) {
+      ++routes->bound_skips;
+    } else {
+      ++routes->simulations;
+    }
+    if (list_wins) ++routes->list_wins;
+  }
+}
+
+/// The four paper machines, each as is and with a 2-deep signal buffer,
+/// a 2-cycle signal latency, or a 2-cycle load.
+std::vector<MachineDesc> oracle_machines() {
+  std::vector<MachineDesc> out;
+  for (const auto& c : bench::kPaperCases) {
+    const MachineDesc paper = machines::paper(c.issue_width, c.fus);
+    out.push_back(paper);
+    MachineDesc buffered = paper;
+    buffered.signal_buffer_depth = 2;
+    out.push_back(buffered);
+    MachineDesc slow_signal = paper;
+    slow_signal.signal_latency = 2;
+    out.push_back(slow_signal);
+    MachineDesc slow_load = paper;
+    slow_load.set_latency(Opcode::kLoad, 2);
+    out.push_back(slow_load);
+  }
+  return out;
 }
 
 TEST(NeverDegradeDifferential, PerfectCorpusIsIdenticalAtAnyJobsCount) {
-  for (const auto& bench : perfect_suite()) {
-    const Program program = bench.program();
-    std::vector<CompileRequest> fast;
-    std::vector<CompileRequest> slow;
-    for (const Loop& loop : program.loops) {
-      PipelineOptions options;  // defaults: guard + prefilter on
-      fast.push_back({loop, options});
-      options.never_degrade_prefilter = false;
-      slow.push_back({loop, options});
+  const std::vector<bench::CorpusLoop> corpus = bench::compile_corpus();
+  GuardRoutes routes;
+  for (const MachineDesc& machine : oracle_machines()) {
+    std::vector<CompileRequest> requests;
+    for (const auto& target : corpus) {
+      PipelineOptions options;
+      options.machine = machine;
+      requests.push_back({target.loop, options});
     }
-    CompileBatchOptions serial;
-    serial.jobs = 1;
-    CompileBatchOptions fanned;
-    fanned.jobs = 8;
-    const ProgramReport f1 = compile(fast, serial);
-    const ProgramReport f8 = compile(fast, fanned);
-    const ProgramReport s1 = compile(slow, serial);
-    const ProgramReport s8 = compile(slow, fanned);
-    ASSERT_EQ(f1.loops.size(), program.loops.size()) << bench.name;
-    ASSERT_EQ(s1.loops.size(), program.loops.size()) << bench.name;
-    for (std::size_t i = 0; i < f1.loops.size(); ++i) {
-      const std::string what = bench.name + " loop " + std::to_string(i);
-      expect_identical(f1.loops[i], s1.loops[i], what + " fast-vs-slow");
-      expect_identical(f1.loops[i], f8.loops[i], what + " jobs1-vs-8");
-      expect_identical(f1.loops[i], s8.loops[i], what + " fast1-vs-slow8");
-    }
-    EXPECT_EQ(f1.total_parallel_time, s1.total_parallel_time) << bench.name;
-    EXPECT_EQ(f1.total_parallel_time, f8.total_parallel_time) << bench.name;
-  }
-}
-
-TEST(NeverDegradeDifferential, PrefilterFlagActuallyControlsTheShortcuts) {
-  // The A/B flag must force the old path for real: with it off, no loop
-  // may report a skip; with it on (defaults), the corpus is expected to
-  // take the shortcut on at least one DOACROSS loop (in practice almost
-  // all of them — that is the optimization's whole payoff).
-  int skipped = 0;
-  for (const auto& bench : perfect_suite()) {
-    for (const Loop& loop : bench.program().loops) {
-      PipelineOptions fast;
-      const LoopReport f = compile(CompileRequest{loop, fast}).report;
-      if (f.fallback_prefiltered || f.fallback_sim_skipped) ++skipped;
-
-      PipelineOptions slow;
-      slow.never_degrade_prefilter = false;
-      const LoopReport s = compile(CompileRequest{loop, slow}).report;
-      EXPECT_FALSE(s.fallback_prefiltered) << bench.name;
-      EXPECT_FALSE(s.fallback_sim_skipped) << bench.name;
+    for (const int jobs : {1, 8}) {
+      CompileBatchOptions batch;
+      batch.jobs = jobs;
+      const ProgramReport report = compile(requests, batch);
+      ASSERT_EQ(report.loops.size(), requests.size());
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        expect_matches_oracle(requests[i], report.loops[i],
+                              corpus[i].label + " on " + machine.to_string() +
+                                  " jobs " + std::to_string(jobs),
+                              jobs == 1 ? &routes : nullptr);
+      }
     }
   }
-  EXPECT_GT(skipped, 0);
+  // The grid must drive every branch of the guard, or the oracle proves
+  // nothing about the branch it never saw.
+  EXPECT_GT(routes.bound_skips, 0);
+  EXPECT_GT(routes.simulations, 0);
+  EXPECT_GT(routes.list_wins, 0);
 }
 
 TEST(NeverDegradeDifferential, RandomLoopsMatchUnderBothPathsAndOptions) {
+  // Two loop shapes: the generator's default on the default machine, and
+  // the buffered benchmark workload's (6-16 statements, trip 2000, 4x2
+  // with a 2-deep signal buffer, so the simulator never fast-forwards).
+  // Each runs with and without access-level redundant-wait elimination,
+  // which rewrites the TAC the guard reads.
+  LoopGenConfig buffered_shape;
+  buffered_shape.min_stmts = 6;
+  buffered_shape.max_stmts = 16;
+  buffered_shape.trip = 2000;
+  PipelineOptions buffered_options;
+  buffered_options.machine = machines::paper(4, 2);
+  buffered_options.machine.signal_buffer_depth = 2;
+  buffered_options.iterations = 2000;
+  const struct {
+    const char* name;
+    LoopGenConfig config;
+    PipelineOptions options;
+  } shapes[] = {{"default", {}, {}},
+                {"buffered", buffered_shape, buffered_options}};
+
   const int seeds = fuzz_seed_count();
-  LoopGenConfig config;
-  for (int seed = 0; seed < seeds; ++seed) {
-    SplitMix64 rng(static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ull +
-                   0x2545f4914f6cdd1dull);
-    const Loop loop = generate_random_loop(rng, config);
-    // Both the plain pipeline and the redundancy-elimination variant
-    // (which rewrites the TAC in place on the hot path) must stay exact.
-    for (const bool eliminate : {false, true}) {
-      PipelineOptions fast;
-      fast.eliminate_redundant_waits = eliminate;
-      PipelineOptions slow = fast;
-      slow.never_degrade_prefilter = false;
-      const CompileResult f = compile(CompileRequest{loop, fast});
-      const CompileResult s = compile(CompileRequest{loop, slow});
-      const std::string what = "seed " + std::to_string(seed) +
-                               (eliminate ? " +elim" : "");
-      EXPECT_EQ(f.ok(), s.ok()) << what;
-      expect_identical(f.report, s.report, what);
+  for (const auto& shape : shapes) {
+    for (int seed = 0; seed < seeds; ++seed) {
+      SplitMix64 rng(static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ull +
+                     0x2545f4914f6cdd1dull);
+      const Loop loop = generate_random_loop(rng, shape.config);
+      for (const bool eliminate : {false, true}) {
+        CompileRequest request{loop, shape.options};
+        request.options.eliminate_redundant_waits = eliminate;
+        expect_matches_oracle(request, compile(request).report,
+                              std::string(shape.name) + " seed " +
+                                  std::to_string(seed) +
+                                  (eliminate ? " +elim" : ""));
+      }
     }
   }
 }
 
 TEST(AnalyticBounds, LowerBoundsNeverExceedTheSimulatedTime) {
-  // Soundness of both shortcut predicates, on every scheduler: the
-  // schedule-free bound under-approximates ALL schedules, and the
+  // Soundness of the guard's skip predicate, on every scheduler: the
   // scheduled bound under-approximates the given schedule. An
   // over-approximation here would let the guard skip a fallback that
   // actually wins — silently degrading a compile.
@@ -153,8 +191,6 @@ TEST(AnalyticBounds, LowerBoundsNeverExceedTheSimulatedTime) {
     if (!deps.is_synchronizable()) continue;
     const TacFunction tac = generate_tac(insert_synchronization(loop, deps));
     const Dfg dfg(tac, machine);
-    const std::int64_t free_bound =
-        schedule_free_lower_bound(tac, dfg, machine, n);
     for (const SchedulerKind kind :
          {SchedulerKind::kSyncAware, SchedulerKind::kList,
           SchedulerKind::kInOrder}) {
@@ -162,8 +198,6 @@ TEST(AnalyticBounds, LowerBoundsNeverExceedTheSimulatedTime) {
       SimOptions options;
       options.iterations = n;
       const SimResult sim = simulate(tac, dfg, schedule, machine, options);
-      EXPECT_LE(free_bound, sim.parallel_time)
-          << "seed " << seed << " kind " << static_cast<int>(kind);
       EXPECT_LE(scheduled_lower_bound(tac, dfg, machine, schedule, n),
                 sim.parallel_time)
           << "seed " << seed << " kind " << static_cast<int>(kind);

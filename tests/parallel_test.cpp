@@ -1,4 +1,4 @@
-// Parallel pipeline engine: byte-identical agreement with the serial
+// Batch compile engine: byte-identical agreement with the serial
 // engine across job counts, cache correctness, and determinism of the
 // aggregated ProgramReport. Labeled `parallel` in CTest so sanitizer
 // builds (-DSBMP_SANITIZE=thread) can target exactly these tests.
@@ -14,6 +14,7 @@
 
 #include "sbmp/core/parallel.h"
 #include "sbmp/frontend/parser.h"
+#include "sbmp/obs/trace.h"
 #include "sbmp/perfect/suite.h"
 #include "sbmp/support/thread_pool.h"
 
@@ -50,18 +51,31 @@ std::string render(const ProgramReport& report) {
   return out;
 }
 
+/// Batch-compiles every loop of `program` under `options`.
+ProgramReport compile_program(const Program& program,
+                              const PipelineOptions& options,
+                              const CompileBatchOptions& batch,
+                              ResultCache* cache = nullptr) {
+  std::vector<CompileRequest> requests;
+  for (const Loop& loop : program.loops) requests.push_back({loop, options});
+  return compile(requests, batch, cache);
+}
+
+/// The serial engine: every loop inline on the calling thread, in
+/// program order, recompiled with no memoization.
+constexpr CompileBatchOptions kSerial{1, false};
+
 TEST(ParallelEngine, MatchesSerialEngineByteForByte) {
   PipelineOptions options;
   options.machine = machines::paper(4, 1);
   options.iterations = 100;
   for (const auto& bench : perfect_suite()) {
     const Program program = bench.program();
-    const std::string serial = render(run_pipeline(program, options));
+    const std::string serial =
+        render(compile_program(program, options, kSerial));
     for (const int jobs : {1, 2, 8}) {
-      ParallelOptions parallel;
-      parallel.jobs = jobs;
       const std::string par =
-          render(run_pipeline_parallel(program, options, parallel));
+          render(compile_program(program, options, {jobs}));
       EXPECT_EQ(serial, par)
           << bench.name << " diverged at --jobs " << jobs;
     }
@@ -78,27 +92,20 @@ TEST(ParallelEngine, MatchesSerialUnderListSchedulerAndChecks) {
   options.check_ordering = true;
   options.iterations = 50;
   const Program program = perfect_suite().front().program();
-  const std::string serial = render(run_pipeline(program, options));
-  for (const int jobs : {2, 8}) {
-    ParallelOptions parallel;
-    parallel.jobs = jobs;
-    EXPECT_EQ(serial, render(run_pipeline_parallel(program, options,
-                                                   parallel)));
-  }
+  const std::string serial =
+      render(compile_program(program, options, kSerial));
+  for (const int jobs : {2, 8})
+    EXPECT_EQ(serial, render(compile_program(program, options, {jobs})));
 }
 
 TEST(ParallelEngine, CacheDeduplicatesRepeatedRuns) {
   const Program program = perfect_suite().front().program();
   PipelineOptions options;
   ResultCache cache;
-  ParallelOptions parallel;
-  parallel.jobs = 2;
-  const ProgramReport first =
-      run_pipeline_parallel(program, options, parallel, &cache);
+  const ProgramReport first = compile_program(program, options, {2}, &cache);
   const std::int64_t misses_after_first = cache.misses();
   EXPECT_GT(misses_after_first, 0);
-  const ProgramReport second =
-      run_pipeline_parallel(program, options, parallel, &cache);
+  const ProgramReport second = compile_program(program, options, {2}, &cache);
   // The second pass is served entirely from the cache...
   EXPECT_EQ(cache.misses(), misses_after_first);
   EXPECT_GT(cache.hits(), 0);
@@ -144,30 +151,34 @@ end
   PipelineOptions options;
   ResultCache cache;
   const SchedulerComparison plain = compare_schedulers(loop, options);
-  const SchedulerComparison cached =
-      compare_schedulers_cached(loop, options, &cache);
+  const SchedulerComparison cached = compare_schedulers(loop, options, &cache);
   EXPECT_EQ(plain.baseline.parallel_time(), cached.baseline.parallel_time());
   EXPECT_EQ(plain.improved.parallel_time(), cached.improved.parallel_time());
   // A repeat comparison is a pure cache hit with identical results.
   const std::int64_t misses = cache.misses();
-  const SchedulerComparison again =
-      compare_schedulers_cached(loop, options, &cache);
+  const SchedulerComparison again = compare_schedulers(loop, options, &cache);
   EXPECT_EQ(cache.misses(), misses);
   EXPECT_EQ(again.improved.schedule.groups, cached.improved.schedule.groups);
 }
 
 TEST(ParallelEngine, JobsOneBypassesThreading) {
   // jobs = 1 must run inline on the calling thread (the documented
-  // serial escape hatch); verify by observing thread identity.
+  // serial escape hatch): every pipeline span lands on the thread of a
+  // span the test opens itself, and the memoized run matches the
+  // uncached serial engine.
   const Program program = perfect_suite().front().program();
+  Tracer tracer;
+  { const Tracer::Span caller = Tracer::begin(&tracer, "caller"); }
   PipelineOptions options;
-  ParallelOptions parallel;
-  parallel.jobs = 1;
-  parallel.use_cache = false;
-  const ProgramReport serial = run_pipeline(program, options);
-  const ProgramReport report =
-      run_pipeline_parallel(program, options, parallel);
-  EXPECT_EQ(render(serial), render(report));
+  options.tracer = &tracer;
+  const ProgramReport report = compile_program(program, options, {1});
+  const std::vector<Tracer::Event> events = tracer.events();
+  ASSERT_GT(events.size(), 1u);
+  for (const auto& event : events)
+    EXPECT_EQ(event.tid, events.front().tid) << event.name;
+  options.tracer = nullptr;
+  EXPECT_EQ(render(compile_program(program, options, kSerial)),
+            render(report));
 }
 
 // A three-loop program whose middle loop carries an irregular (non-
@@ -201,7 +212,7 @@ TEST(ParallelEngine, FailingBatchIsByteIdenticalAcrossJobCounts) {
   const Program program = parse_program_or_throw(kMixedBatch);
   PipelineOptions options;
   options.iterations = 50;
-  const ProgramReport serial = run_pipeline(program, options);
+  const ProgramReport serial = compile_program(program, options, kSerial);
   ASSERT_EQ(serial.failures.size(), 1u);
   EXPECT_EQ(serial.failures[0].index, 1);
   EXPECT_EQ(serial.loops[1].status.code, StatusCode::kInput);
@@ -209,10 +220,7 @@ TEST(ParallelEngine, FailingBatchIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.loops.size(), 3u);  // the stub is present, in order
   EXPECT_EQ(serial.loops[1].name, "broken");
   for (const int jobs : {1, 2, 8}) {
-    ParallelOptions parallel;
-    parallel.jobs = jobs;
-    const ProgramReport report =
-        run_pipeline_parallel(program, options, parallel);
+    const ProgramReport report = compile_program(program, options, {jobs});
     EXPECT_EQ(render(serial), render(report)) << "jobs=" << jobs;
     EXPECT_EQ(render_failures(serial), render_failures(report))
         << "jobs=" << jobs;
@@ -304,14 +312,12 @@ TEST(ShardedCache, SingleShardCacheIsByteIdenticalAcrossJobCounts) {
   for (const auto& bench : perfect_suite()) {
     const Program program = bench.program();
     for (const int jobs : {1, 2, 8}) {
-      ParallelOptions parallel;
-      parallel.jobs = jobs;
       ResultCache one(1);
       ResultCache sharded;
       const std::string a =
-          render(run_pipeline_parallel(program, options, parallel, &one));
+          render(compile_program(program, options, {jobs}, &one));
       const std::string b =
-          render(run_pipeline_parallel(program, options, parallel, &sharded));
+          render(compile_program(program, options, {jobs}, &sharded));
       EXPECT_EQ(a, b) << bench.name << " diverged at --jobs " << jobs;
       EXPECT_EQ(one.size(), sharded.size());
     }

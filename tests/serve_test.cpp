@@ -331,10 +331,6 @@ TEST(Codec, FingerprintCoversLoopAndEverySemanticOption) {
   EXPECT_TRUE(differs([](PipelineOptions& o) { o.never_degrade = false; }));
   EXPECT_TRUE(differs([](PipelineOptions& o) { o.validate = false; }));
   EXPECT_TRUE(differs([](PipelineOptions& o) { o.validate_tolerance = 3; }));
-
-  // Where the artifact is stored must never change what it is.
-  EXPECT_FALSE(differs([](PipelineOptions& o) { o.cache_dir = "/elsewhere"; }));
-  EXPECT_FALSE(differs([](PipelineOptions& o) { o.cache_max_bytes = 1; }));
 }
 
 TEST(Codec, RejectsFingerprintMismatch) {

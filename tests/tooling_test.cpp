@@ -156,6 +156,24 @@ TEST(ScheduleStats, ToStringMentionsEveryFuClass) {
 
 #ifdef SBMPC_PATH
 
+/// A scratch path of this test process. CTest runs every TEST as its
+/// own process, several at once under -j, so the process id keeps one
+/// test from reading another's files (as the daemon socket path does).
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
+
+/// Deletes this process's scratch paths once its tests have run, so
+/// per-process names do not pile up across runs.
+class TempPathCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::system(("rm -rf " + temp_path("") + "*").c_str());
+  }
+};
+::testing::Environment* const kTempPathCleanup =
+    ::testing::AddGlobalTestEnvironment(new TempPathCleanup);
+
 /// Spawns the real sbmpc binary and returns its process exit code —
 /// the contract tests below lock the documented mapping (0 ok,
 /// 1 input, 2 usage, 3 validation).
@@ -169,7 +187,7 @@ int run_sbmpc(const std::string& args) {
 /// Writes the paper example to a temp file once and returns its path.
 const std::string& fig1_path() {
   static const std::string path = [] {
-    const std::string p = ::testing::TempDir() + "sbmpc_fig1.loop";
+    const std::string p = temp_path("sbmpc_fig1.loop");
     std::ofstream out(p);
     out << "doacross I = 1, 100\n"
            "  B[I] = A[I-2] + E[I+1]\n"
@@ -191,7 +209,7 @@ TEST(SbmpcExitCodes, MissingFileIsAnInputError) {
 }
 
 TEST(SbmpcExitCodes, MalformedSourceIsAnInputError) {
-  const std::string p = ::testing::TempDir() + "sbmpc_bad.loop";
+  const std::string p = temp_path("sbmpc_bad.loop");
   std::ofstream(p) << "doacross I = 1,\n  A[I =\n";
   EXPECT_EQ(run_sbmpc(p), 1);
 }
@@ -243,7 +261,7 @@ TEST(SbmpcExitCodes, OneBadFileInABatchStillRendersTheRest) {
 /// Like run_sbmpc but captures stdout, so byte-identity across cache
 /// states and transports can be asserted, not just exit codes.
 int run_sbmpc_capture(const std::string& args, std::string* out) {
-  const std::string path = ::testing::TempDir() + "sbmpc_capture.txt";
+  const std::string path = temp_path("sbmpc_capture.txt");
   const std::string cmd =
       std::string(SBMPC_PATH) + " " + args + " > " + path + " 2>/dev/null";
   const int raw = std::system(cmd.c_str());
@@ -255,7 +273,7 @@ int run_sbmpc_capture(const std::string& args, std::string* out) {
 }
 
 std::string fresh_dir(const char* name) {
-  const std::string dir = ::testing::TempDir() + name;
+  const std::string dir = temp_path(name);
   std::system(("rm -rf " + dir).c_str());
   return dir;
 }
@@ -483,7 +501,7 @@ TEST(SbmpdDaemon, FallbackLocalSurvivesTheDaemonDyingMidRun) {
 }
 
 TEST(SbmpdDaemon, PerConnectionRequestLimitForcesTransparentReconnects) {
-  const std::string second = ::testing::TempDir() + "sbmpc_stencil.loop";
+  const std::string second = temp_path("sbmpc_stencil.loop");
   std::ofstream(second) << "doacross I = 1, 100\n"
                            "  U[I] = (U[I-1] + V[I]) * w1 + V[I+1] * w2\n"
                            "  R[I] = V[I-2] * w3 + V[I+2]\n"
@@ -546,7 +564,7 @@ TEST(SbmpdDaemon, StatFrameReturnsAVersionedSnapshot) {
 }
 
 TEST(SbmpdDaemon, MetricsDumpEmitsPrometheusTextOnDrain) {
-  const std::string dump = ::testing::TempDir() + "sbmpd_metrics.txt";
+  const std::string dump = temp_path("sbmpd_metrics.txt");
   ::unlink(dump.c_str());
   {
     DaemonGuard daemon("--metrics-dump", dump);
@@ -589,7 +607,7 @@ TEST(SbmpdDaemon, MetricsDumpEmitsPrometheusTextOnDrain) {
 #endif  // SBMPD_PATH
 
 TEST(SbmpcTrace, TraceOutEmitsValidatedJsonAndChangesNoOutput) {
-  const std::string trace = ::testing::TempDir() + "sbmpc_trace.json";
+  const std::string trace = temp_path("sbmpc_trace.json");
   ::unlink(trace.c_str());
   std::string untraced;
   ASSERT_EQ(run_sbmpc_capture(render_flags() + fig1_path(), &untraced), 0);

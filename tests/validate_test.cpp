@@ -45,7 +45,10 @@ TEST(ValidatePipeline, CleanOnPaperExampleAndSuite) {
   EXPECT_TRUE(report.validation_violations.empty());
   EXPECT_TRUE(validate_pipeline(report, options).empty());
   for (const auto& bench : perfect_suite()) {
-    ProgramReport program = run_pipeline(bench.program(), options);
+    std::vector<CompileRequest> requests;
+    for (const Loop& loop : bench.program().loops)
+      requests.push_back({loop, options});
+    const ProgramReport program = compile(requests);
     for (const auto& loop : program.loops)
       EXPECT_TRUE(loop.validation_violations.empty())
           << bench.name << "/" << loop.name << ": "

@@ -29,18 +29,6 @@ ctest --test-dir "$root/build" -L fuzz --output-on-failure -j "$jobs"
 echo "== real-execution smoke (threads vs serial reference) =="
 "$root/build/bench/bench_exec" --check
 
-echo "== never-degrade prefilter differential (fast path vs forced full path) =="
-# The guard's cost shortcuts are exact by construction: forcing the old
-# full-schedule + full-simulate path must reproduce the corpus output
-# byte for byte, with and without redundant-wait elimination.
-for extra in "" "--eliminate"; do
-  if ! diff <("$root/build/tools/sbmpc" $extra --list-benchmarks) \
-            <("$root/build/tools/sbmpc" $extra --no-never-degrade-prefilter --list-benchmarks); then
-    echo "prefilter differential FAILED (extra flags: '$extra')" >&2
-    exit 1
-  fi
-done
-
 echo "== non-default machine end-to-end (compile + execute + daemon) =="
 # One machine the legacy --width/--fus flags cannot express (bounded
 # signal buffer, asymmetric FU mix, a 2-cycle load) must travel the

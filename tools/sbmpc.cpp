@@ -19,12 +19,6 @@
 //   --eliminate        access-level redundant-wait elimination
 //   --validate         run the cross-layer schedule validator (default)
 //   --no-validate      skip the validator
-//   --no-never-degrade-prefilter
-//                      force the full never-degrade fallback path (build
-//                      the list schedule and simulate it to completion,
-//                      no analytic skip and no simulation cutoff); an
-//                      A/B switch for the fallback fast path — output
-//                      bytes are identical either way
 //   --tolerance N      cycle slack for the validator's analytic checks
 //   --mutate M         deliberately break the schedule's synchronization
 //                      (hoist-send | sink-wait | drop-arc) and report
@@ -134,6 +128,8 @@ struct CliOptions {
   bool run_suite = false;
   int jobs = 0;  ///< 0 = hardware threads, 1 = serial
   std::optional<ScheduleMutation> mutate;
+  std::string cache_dir;  ///< non-empty = persistent schedule cache
+  std::int64_t cache_max_bytes = 256ll << 20;  ///< --cache-bytes cap
   std::string remote_socket;  ///< non-empty = compile through sbmpd
   std::int64_t io_timeout_ms = 10000;  ///< --remote per-frame budget
   std::int64_t deadline_ms = 0;        ///< --remote per-request budget
@@ -157,8 +153,7 @@ struct CliOptions {
                "             [--scheduler S]\n"
                "             [--iterations N] [--processors P] [--compare]\n"
                "             [--check] [--eliminate] [--validate]\n"
-               "             [--no-validate] [--no-never-degrade-prefilter]\n"
-               "             [--tolerance N] [--mutate M]\n"
+               "             [--no-validate] [--tolerance N] [--mutate M]\n"
                "             [--dump WHAT] [--jobs N] [--cache-dir DIR]\n"
                "             [--cache-bytes N] [--remote SOCK]\n"
                "             [--io-timeout-ms N] [--deadline-ms N]\n"
@@ -217,11 +212,6 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.pipeline.eliminate_redundant_waits = true;
     } else if (std::strcmp(arg, "--validate") == 0) {
       cli.pipeline.validate = true;
-    } else if (std::strcmp(arg, "--no-never-degrade-prefilter") == 0) {
-      // A/B escape hatch: force the full list-build + unbounded simulate
-      // fallback path (no analytic skip, no simulation cutoff). Output
-      // must be byte-identical either way — tools/check.sh diffs the two.
-      cli.pipeline.never_degrade_prefilter = false;
     } else if (std::strcmp(arg, "--no-validate") == 0) {
       cli.pipeline.validate = false;
     } else if (std::strcmp(arg, "--tolerance") == 0) {
@@ -233,10 +223,10 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (std::strcmp(arg, "--jobs") == 0) {
       cli.jobs = std::atoi(next_arg(argc, argv, i));
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
-      cli.pipeline.cache_dir = next_arg(argc, argv, i);
+      cli.cache_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-bytes") == 0) {
-      cli.pipeline.cache_max_bytes = std::atoll(next_arg(argc, argv, i));
-      if (cli.pipeline.cache_max_bytes < 0)
+      cli.cache_max_bytes = std::atoll(next_arg(argc, argv, i));
+      if (cli.cache_max_bytes < 0)
         usage("--cache-bytes must be non-negative");
     } else if (std::strcmp(arg, "--remote") == 0) {
       cli.remote_socket = next_arg(argc, argv, i);
@@ -583,9 +573,8 @@ int run(CliOptions cli) {
   std::unique_ptr<FallbackCompiler> degrading;
   LoopCompiler* compiler = nullptr;
   if (cli.remote_socket.empty() || cli.fallback_local) {
-    if (!cli.pipeline.cache_dir.empty()) {
-      disk = std::make_unique<DiskCache>(cli.pipeline.cache_dir,
-                                         cli.pipeline.cache_max_bytes);
+    if (!cli.cache_dir.empty()) {
+      disk = std::make_unique<DiskCache>(cli.cache_dir, cli.cache_max_bytes);
       if (!disk->init_status().ok())
         std::fprintf(stderr, "sbmpc: warning: schedule cache disabled: %s\n",
                      disk->init_status().to_string().c_str());
