@@ -21,6 +21,10 @@
 namespace sbmp {
 namespace sim_detail {
 
+/// Longest steady-state period the fast-forward detects. Every corpus
+/// and benchmark loop observed settles at period 1, 2, 3, 4 or 6.
+inline constexpr std::int64_t kMaxPeriod = 8;
+
 /// Issue times of one iteration.
 struct IterTimes {
   std::vector<std::int64_t> group_issue;
@@ -85,9 +89,10 @@ struct SimCore {
   /// times, and re-acquiring these heap blocks (including the ring
   /// rows' group_issue vectors) instead of reallocating them removes
   /// the core's ~15 allocations per run. Each run fully overwrites what
-  /// it reads — every ring row, send row and delta table is written for
-  /// iteration k before anything reads it — so stale contents from the
-  /// previous checkout are never observed.
+  /// it reads — every ring row and send/wait row is written for
+  /// iteration k before anything reads it, and `end_issue` (the
+  /// fast-forward's evaluated iteration) before it is compared — so
+  /// stale contents from the previous checkout are never observed.
   struct Scratch {
     std::vector<IterTimes> ring;
     std::vector<int> send_slot;
@@ -96,7 +101,6 @@ struct SimCore {
     std::vector<PredRef> pred_refs;
     std::vector<InstrRef> instr_refs;
     std::vector<std::int32_t> group_begin;
-    std::vector<std::int64_t> d_group;
     std::vector<std::int64_t> end_issue;
   };
 
@@ -174,6 +178,8 @@ struct SimCore {
       rows = std::max<std::int64_t>(
           rows, static_cast<std::int64_t>(faults->signal_buffer_capacity) + 1);
     }
+    // The steady-state fast-forward reads the last 2 * kMaxPeriod rows.
+    if (faults == nullptr) rows = std::max(rows, 2 * kMaxPeriod);
     rows = std::min(rows, sat_add(n, 1));
     resize_window(static_cast<int>(std::max<std::int64_t>(rows, 1)));
 
@@ -211,17 +217,16 @@ struct SimCore {
     while (window < rows) window <<= 1;
     ring_mask = window - 1;
     // resize, not assign: surviving rows keep their group_issue heap
-    // blocks (the pooled-scratch win). Stale times are never read —
-    // run() writes row k in full before anything looks at it.
+    // blocks (the pooled-scratch win), and no table is refilled here.
+    // Stale times are never read — run() writes iteration k's rows in
+    // full before anything looks at them.
     if (static_cast<int>(ring.size()) != window)
       ring.resize(static_cast<std::size_t>(window));
-    send_times.assign(
-        static_cast<std::size_t>(window) * static_cast<std::size_t>(signal_width),
-        kNoTime);
+    send_times.resize(static_cast<std::size_t>(window) *
+                      static_cast<std::size_t>(signal_width));
     if (faults != nullptr || config.signal_buffer_depth > 0)
-      wait_times.assign(static_cast<std::size_t>(window) *
-                            static_cast<std::size_t>(signal_width),
-                        kNoTime);
+      wait_times.resize(static_cast<std::size_t>(window) *
+                        static_cast<std::size_t>(signal_width));
   }
 
   /// Start of iteration k's row in a flat per-signal table.
@@ -288,173 +293,37 @@ struct SimCore {
   SimResult run(const std::function<void(std::int64_t)>& hook) {
     SimResult result;
     result.schedule_length = schedule.length();
+    const int len = schedule.length();
     const int procs = options.processors;
     const int machine_buffer = std::max(config.signal_buffer_depth, 0);
     const int buffer_capacity =
         faults != nullptr ? faults->signal_buffer_capacity : 0;
 
-    // Steady-state fast-forward (exact, not approximate). Every time an
-    // iteration computes is a max over terms that are linear in the
-    // iteration index once the per-group deltas settle: chain terms
-    // (prev + 1), same-iteration predecessors (issue[slot] + latency),
-    // and wait arrivals (a send time d iterations back + latency). Once
-    // the per-group delta vector has repeated for `window` consecutive
-    // iterations — which covers every ring row the next iteration can
-    // read, since procs + 1 <= window and max_wait_distance + 1 <=
-    // window — the remaining trajectory is a candidate straight line.
-    // `fast_forward` then proves the candidate: it re-evaluates one full
-    // iteration at the extrapolated endpoint and accepts only if every
-    // group lands exactly on its extrapolation. That check is
-    // sufficient, not just plausible: each group's issue time is a max
-    // of linear functions of the iteration index, i.e. convex, and a
-    // convex function that meets a straight chord at both endpoints
-    // cannot leave it in between — so endpoint equality forces every
-    // intermediate iteration onto the line, and the remaining stall and
-    // finish sums have closed forms. Only taken with no faults and no
-    // hook (both observe individual iterations), and only when all the
-    // closed forms stay inside int64, so the loop's sat_add could never
-    // have saturated either.
-    // A bounded machine buffer also disables the skip: its constraint
-    // reads wait times, which the fast-forward does not extrapolate.
-    const bool can_skip = !hook && faults == nullptr && machine_buffer == 0;
-    std::int64_t streak = 0;
-    std::int64_t next_attempt = 0;
-    std::int64_t d_start = 0;
-    std::int64_t d_fin = 0;
-    std::int64_t d_last = 0;
-    std::vector<std::int64_t>& d_group = scratch_->d_group;
-    std::vector<std::int64_t>& end_issue = scratch_->end_issue;
-
-    // Evaluates iteration k + m from iteration k's row (`times`, with
-    // `sends` its send row and `stalls` its stall count) under the
-    // candidate deltas, and on success folds the m skipped iterations
-    // into `result`. Any mismatch or potential int64 overflow rejects.
-    const auto fast_forward = [&](const IterTimes& times,
-                                  const std::int64_t* sends,
-                                  std::int64_t stalls, std::int64_t m,
-                                  SimResult& result) -> bool {
-      // Everything extrapolated stays under kLimit, so the mirrored
-      // arithmetic below (+1 chains, +latency) cannot overflow and
-      // matches the loop's sat_add exactly (which never saturates in
-      // this range either).
-      constexpr std::int64_t kLimit =
-          std::numeric_limits<std::int64_t>::max() / 4;
-      const auto ext = [&](std::int64_t v, std::int64_t d, std::int64_t f,
-                           std::int64_t* out) {
-        if (mul_overflows(d, f) || add_overflows(v, d * f)) return false;
-        *out = v + d * f;
-        return *out >= 0 && *out <= kLimit;
-      };
-      const int len = schedule.length();
-      const int procs = options.processors;
-      std::int64_t start_end = 0;
-      if (procs > 0) {
-        // The loop reads row (k + m - procs).last_issue; that row is on
-        // the candidate line (in the future by induction, in the past
-        // because the streak spans the whole ring window).
-        std::int64_t li = 0;
-        if (!ext(times.last_issue, d_last, m - procs, &li)) return false;
-        start_end = li + 1;
-      }
-      std::int64_t want = 0;
-      if (!ext(times.start, d_start, m, &want) || start_end != want)
-        return false;
-      end_issue.assign(static_cast<std::size_t>(len), 0);
-      std::int64_t prev_end = start_end - 1;
-      std::int64_t finish_end = start_end;
-      std::int64_t stalls_end = 0;
-      for (int g = 0; g < len; ++g) {
-        std::int64_t t = prev_end + 1;
-        const std::int32_t ib = group_begin[static_cast<std::size_t>(g)];
-        const std::int32_t ie = group_begin[static_cast<std::size_t>(g) + 1];
-        for (std::int32_t ii = ib; ii < ie; ++ii) {
-          const InstrRef& ref = instr_refs[static_cast<std::size_t>(ii)];
-          for (std::int32_t p = ref.pred_begin; p < ref.pred_end; ++p) {
-            const PredRef& pr = pred_refs[static_cast<std::size_t>(p)];
-            const std::int64_t ready =
-                end_issue[static_cast<std::size_t>(pr.slot)] + pr.latency;
-            if (ready > t) t = ready;
-          }
-          if (ref.is_wait) {
-            const auto stmt = static_cast<std::size_t>(ref.signal_stmt);
-            // src_iter = k + m - distance >= 0 always: k >= window >
-            // max_wait_distance. A signal unsent at iteration k is
-            // unsent at every iteration and vice versa.
-            if (send_slot[stmt] >= 0 && sends[stmt] != kNoTime) {
-              std::int64_t sent_end = 0;
-              if (!ext(sends[stmt],
-                       d_group[static_cast<std::size_t>(send_slot[stmt])],
-                       m - ref.sync_distance, &sent_end))
-                return false;
-              const std::int64_t arrival = sent_end + config.signal_latency;
-              if (arrival > t) t = arrival;
-            }
-          }
-        }
-        if (!ext(times.group_issue[static_cast<std::size_t>(g)],
-                 d_group[static_cast<std::size_t>(g)], m, &want) ||
-            t != want)
-          return false;
-        end_issue[static_cast<std::size_t>(g)] = t;
-        stalls_end += t - (prev_end + 1);
-        prev_end = t;
-        for (std::int32_t ii = ib; ii < ie; ++ii) {
-          const std::int64_t done =
-              t + instr_refs[static_cast<std::size_t>(ii)].drain_latency;
-          if (done > finish_end) finish_end = done;
-        }
-      }
-      if (!ext(times.finish, d_fin, m, &want) || finish_end != want)
-        return false;
-      if (!ext(times.last_issue, d_last, m, &want) || prev_end != want)
-        return false;
-      // Per-group stall contributions are linear and >= 0 at both
-      // endpoints, hence >= 0 and linear throughout: the skipped
-      // iterations contribute sum_{j=1..m} (stalls + j * rate).
-      const std::int64_t diff = stalls_end - stalls;
-      if (diff % m != 0) return false;
-      const std::int64_t rate = diff / m;
-      std::int64_t a = m;
-      std::int64_t b = m + 1;
-      if (a % 2 == 0) a /= 2; else b /= 2;
-      if (mul_overflows(a, b)) return false;
-      const std::int64_t tri = a * b;
-      if (mul_overflows(stalls, m) || mul_overflows(rate, tri) ||
-          add_overflows(stalls * m, rate * tri))
-        return false;
-      const std::int64_t extra = stalls * m + rate * tri;
-      if (add_overflows(result.stall_cycles, extra)) return false;
-      result.stall_cycles += extra;
-      // Deltas are all >= 0 (checked by the caller), so the endpoint
-      // finish dominates every skipped iteration's finish.
-      if (finish_end > result.parallel_time) result.parallel_time = finish_end;
-      return true;
-    };
-
-    for (std::int64_t k = 0; k < n; ++k) {
-      IterTimes& times = row(k);
-      times.group_issue.assign(
-          static_cast<std::size_t>(schedule.length()), 0);
+    // Computes iteration k into `times` and returns its stall cycles,
+    // recording its send and wait issue cycles in `sends`/`waits` when
+    // they are non-null. Earlier iterations are read only as
+    // past(j, at), where at(j) reads a value of simulated iteration j:
+    // the loop below passes those values through, the fast-forward
+    // extrapolates them along the steady state.
+    const auto iterate = [&](std::int64_t k, IterTimes& times,
+                             std::int64_t* sends, std::int64_t* waits,
+                             const auto& past) -> std::int64_t {
+      times.group_issue.assign(static_cast<std::size_t>(len), 0);
       std::int64_t start = 0;
       // A processor's issue stage frees the cycle after it issues the
       // previous iteration's last group (results drain in the pipelined
       // function units while the next iteration starts).
-      if (procs > 0 && k >= procs)
-        start = sat_add(row(k - procs).last_issue, 1);
+      if (procs > 0 && k >= procs) {
+        start = sat_add(
+            past(k - procs, [&](std::int64_t j) { return row(j).last_issue; }),
+            1);
+      }
       times.start = start;
 
       std::int64_t prev = start - 1;
       std::int64_t finish = start;
       std::int64_t stalls = 0;
-      std::int64_t* const sends = send_times.data() + signal_row(k);
-      std::fill_n(sends, static_cast<std::size_t>(signal_width), kNoTime);
-      std::int64_t* waits = nullptr;
-      if (faults != nullptr || machine_buffer > 0) {
-        waits = wait_times.data() + signal_row(k);
-        std::fill_n(waits, static_cast<std::size_t>(signal_width), kNoTime);
-      }
-      const std::int64_t* const issue = times.group_issue.data();
-      const int len = schedule.length();
+      std::int64_t* const issue = times.group_issue.data();
       for (int g = 0; g < len; ++g) {
         std::int64_t t = prev + 1;
         const std::int32_t ib = group_begin[static_cast<std::size_t>(g)];
@@ -478,12 +347,17 @@ struct SimCore {
           // Signal readiness for waits.
           if (ref.is_wait) {
             const auto stmt = static_cast<std::size_t>(ref.signal_stmt);
+            const auto sent = [&](std::int64_t j) {
+              return send_times[signal_row(j) + stmt];
+            };
+            const auto waited = [&](std::int64_t j) {
+              return wait_times[signal_row(j) + stmt];
+            };
             const std::int64_t src_iter = k - ref.sync_distance;
             if (src_iter >= 0 && send_slot[stmt] >= 0) {
-              const std::int64_t sent =
-                  send_times[signal_row(src_iter) + stmt];
-              if (sent != kNoTime) {
-                std::int64_t arrival = sent + config.signal_latency;
+              const std::int64_t sent_at = past(src_iter, sent);
+              if (sent_at != kNoTime) {
+                std::int64_t arrival = sent_at + config.signal_latency;
                 if (faults != nullptr) {
                   const std::int64_t delay =
                       signal_delay(src_iter, ref.signal_stmt);
@@ -502,13 +376,11 @@ struct SimCore {
             // fault-plan capacity layered on top counts every extra
             // stall it causes beyond the machine's own.
             if (machine_buffer > 0 && k >= machine_buffer) {
-              const std::int64_t old_wait =
-                  wait_times[signal_row(k - machine_buffer) + stmt];
+              const std::int64_t old_wait = past(k - machine_buffer, waited);
               if (old_wait != kNoTime && old_wait + 1 > t) t = old_wait + 1;
             }
             if (buffer_capacity > 0 && k >= buffer_capacity) {
-              const std::int64_t old_wait =
-                  wait_times[signal_row(k - buffer_capacity) + stmt];
+              const std::int64_t old_wait = past(k - buffer_capacity, waited);
               if (old_wait != kNoTime && old_wait + 1 > t) {
                 t = old_wait + 1;
                 ++fault_events;
@@ -523,7 +395,7 @@ struct SimCore {
             ++fault_events;
           }
         }
-        times.group_issue[static_cast<std::size_t>(g)] = t;
+        issue[static_cast<std::size_t>(g)] = t;
         stalls += t - (prev + 1);
         prev = t;
         // Track result drain and record sends/waits.
@@ -533,7 +405,7 @@ struct SimCore {
           if (faults != nullptr)
             done = sat_add(done, result_jitter(k, ref.id));
           if (done > finish) finish = done;
-          if (ref.is_send)
+          if (sends != nullptr && ref.is_send)
             sends[static_cast<std::size_t>(ref.signal_stmt)] = t;
           if (waits != nullptr && ref.is_wait)
             waits[static_cast<std::size_t>(ref.signal_stmt)] = t;
@@ -541,9 +413,126 @@ struct SimCore {
       }
       times.finish = finish;
       times.last_issue = prev;
+      return stalls;
+    };
+
+    // Steady-state fast-forward (exact, not approximate). Let δ(k) be
+    // row k minus row k-1 over `start` and every group's issue cycle,
+    // and let `a` range over the last c simulated iterations. Once
+    // δ(k) = δ(k-c) has held for `reach + c - 2` iterations, row a - c
+    // and every row it reads lie, per residue class mod c, on lines
+    // row(k) = row(k-c) + D. `fold` evaluates the last c iterations from
+    // rows extrapolated along those lines and accepts only if each lands
+    // on its own line. That check is a proof. Along one class,
+    // k_j = a + j*c, every term of the recurrence is linear in j (a
+    // start after an older last issue, a send arrival, a buffer slot
+    // freed by an older wait) or a max of such terms, so the time
+    // computed from extrapolated rows is convex in j. It meets the line
+    // at the simulated rows a - c and a, so beyond them it lies on or
+    // above the line; meeting it again at the class's last iteration,
+    // it lies on or below the line in between. So every skipped
+    // iteration is on its line; by induction the extrapolated rows are
+    // the simulated ones, each class's stalls (last_issue - start + 1 -
+    // len) form an arithmetic series, and its finishes, a convex max,
+    // peak at the class's endpoints. Off under a FaultPlan or a hook
+    // (both observe individual iterations); extrapolated times stay
+    // under kLimit and the stall sums saturate like the loop's sat_add.
+    const bool can_skip = !hook && faults == nullptr;
+    // Iterations back the recurrence reads, plus one: procs, every wait
+    // distance and the buffer depth are all below it.
+    const std::int64_t reach =
+        signal_window_rows(config, max_wait_distance, std::max(procs, 0));
+    std::int64_t streak[kMaxPeriod + 1] = {};
+    std::int64_t next_attempt = 0;
+    std::int64_t retry_gap = 2 * kMaxPeriod;
+
+    // δ(k) == δ(k-c), compared as row(k) - row(k-c) == row(k-1) - row(k-c-1).
+    const auto steps_repeat = [&](std::int64_t k, std::int64_t c) {
+      const IterTimes& now = row(k);
+      const IterTimes& prior = row(k - 1);
+      const IterTimes& now_c = row(k - c);
+      const IterTimes& prior_c = row(k - c - 1);
+      if (now.start - now_c.start != prior.start - prior_c.start) return false;
+      for (std::size_t g = 0; g < now.group_issue.size(); ++g) {
+        if (now.group_issue[g] - now_c.group_issue[g] !=
+            prior.group_issue[g] - prior_c.group_issue[g])
+          return false;
+      }
+      return true;
+    };
+
+    // Folds iterations K+1 .. n-1 under period c into `result`; returns
+    // false, leaving `result` untouched, unless the proof above holds.
+    const auto fold = [&](std::int64_t K, std::int64_t c) -> bool {
+      constexpr std::int64_t kLimit =
+          std::numeric_limits<std::int64_t>::max() / 4;
+      bool exact = true;
+      std::int64_t b = n - c;  // the iteration being evaluated
+      // Value q periods on from v, whose value one period earlier is u.
+      const auto extend = [&](std::int64_t v, std::int64_t u, std::int64_t q) {
+        const std::int64_t out = std::min(v, u) >= 0 && std::max(v, u) <= kLimit
+                                     ? sat_add(v, sat_mul(q, v - u))
+                                     : -1;
+        if (out >= 0 && out <= kLimit) return out;
+        exact = false;
+        return std::int64_t{0};
+      };
+      // at(x) on the line of x's class, for K - c < x < b.
+      const auto line = [&](std::int64_t x, const auto& at) {
+        if (x >= b) exact = false;  // a wait distance below 1
+        const std::int64_t q = (x - K + c - 1) / c;
+        return extend(at(x - q * c), at(x - q * c - c), q);
+      };
+      IterTimes end;  // borrows the pooled end_issue block
+      end.group_issue.swap(scratch_->end_issue);
+      std::int64_t stall_cycles = result.stall_cycles;
+      std::int64_t finish = result.parallel_time;
+      for (; exact && b < n; ++b) {
+        const std::int64_t stalls = iterate(b, end, nullptr, nullptr, line);
+        // b's class skips q iterations, b - (q-1)c .. b; `on` is its
+        // last simulated row, `before` the one a period earlier.
+        const std::int64_t q = (b - K + c - 1) / c;
+        const IterTimes& on = row(b - q * c);
+        const IterTimes& before = row(b - q * c - c);
+        if (end.start != extend(on.start, before.start, q)) exact = false;
+        for (std::size_t g = 0; g < end.group_issue.size(); ++g) {
+          if (end.group_issue[g] !=
+              extend(on.group_issue[g], before.group_issue[g], q))
+            exact = false;
+        }
+        // Their stalls rise by a constant step, so they sum to
+        // q * (stalls(first) + stalls(b)) / 2.
+        const std::int64_t ends = extend(on.last_issue, before.last_issue, 1) -
+                                  extend(on.start, before.start, 1) + 1 -
+                                  len + stalls;
+        stall_cycles = sat_add(stall_cycles, q % 2 == 0
+                                                 ? sat_mul(q / 2, ends)
+                                                 : sat_mul(q, ends / 2));
+        finish = std::max(finish, end.finish);
+      }
+      scratch_->end_issue.swap(end.group_issue);
+      if (exact) {
+        result.stall_cycles = stall_cycles;
+        result.parallel_time = finish;
+      }
+      return exact;
+    };
+
+    const auto simulated = [](std::int64_t j, const auto& at) { return at(j); };
+    for (std::int64_t k = 0; k < n; ++k) {
+      IterTimes& times = row(k);
+      std::int64_t* const sends = send_times.data() + signal_row(k);
+      std::fill_n(sends, static_cast<std::size_t>(signal_width), kNoTime);
+      std::int64_t* waits = nullptr;
+      if (faults != nullptr || machine_buffer > 0) {
+        waits = wait_times.data() + signal_row(k);
+        std::fill_n(waits, static_cast<std::size_t>(signal_width), kNoTime);
+      }
+      const std::int64_t stalls = iterate(k, times, sends, waits, simulated);
       result.stall_cycles = sat_add(result.stall_cycles, stalls);
-      if (finish > result.parallel_time) result.parallel_time = finish;
-      if (k == 0) result.iteration_time = finish - start;
+      if (times.finish > result.parallel_time)
+        result.parallel_time = times.finish;
+      if (k == 0) result.iteration_time = times.finish - times.start;
       if (hook) hook(k);
 
       // Cutoff early-exit: parallel_time is a running max over iteration
@@ -556,44 +545,25 @@ struct SimCore {
         result.cutoff_hit = true;
         break;
       }
+      if (!can_skip) continue;
 
-      if (can_skip && k > 0) {
-        const IterTimes& prior = row(k - 1);
-        const std::int64_t cs = times.start - prior.start;
-        const std::int64_t cf = times.finish - prior.finish;
-        const std::int64_t cl = times.last_issue - prior.last_issue;
-        bool same =
-            streak > 0 && cs == d_start && cf == d_fin && cl == d_last;
-        for (int g = 0; same && g < len; ++g) {
-          same = times.group_issue[static_cast<std::size_t>(g)] -
-                     prior.group_issue[static_cast<std::size_t>(g)] ==
-                 d_group[static_cast<std::size_t>(g)];
-        }
-        if (same) {
-          ++streak;
-        } else if (cs >= 0 && cf >= 0 && cl >= 0) {
-          d_start = cs;
-          d_fin = cf;
-          d_last = cl;
-          d_group.assign(static_cast<std::size_t>(len), 0);
-          streak = 1;
-          for (int g = 0; g < len; ++g) {
-            const std::int64_t cg =
-                times.group_issue[static_cast<std::size_t>(g)] -
-                prior.group_issue[static_cast<std::size_t>(g)];
-            d_group[static_cast<std::size_t>(g)] = cg;
-            if (cg < 0) streak = 0;
-          }
-        } else {
-          streak = 0;
-        }
-        if (streak >= window && k + 1 < n && k >= next_attempt) {
-          if (fast_forward(times, sends, stalls, n - 1 - k, result)) break;
-          // A lurking faster-growing term will flip some group's delta
-          // within finitely many iterations; retry once per window so
-          // verification stays O(1/window) of total work.
-          next_attempt = k + window;
-        }
+      std::int64_t period = 0;
+      bool implied[kMaxPeriod + 1] = {};
+      for (std::int64_t c = 1; c <= kMaxPeriod && c < k; ++c) {
+        streak[c] = implied[c] || steps_repeat(k, c) ? streak[c] + 1 : 0;
+        if (period == 0 && streak[c] >= reach + c - 2) period = c;
+        // δ(k) = δ(k-c) over the last m iterations implies δ(k) = δ(k-m)
+        // for each multiple m of c: a loop settled at period 1 pays one
+        // full compare per iteration.
+        for (std::int64_t m = 2 * c; m <= kMaxPeriod; m += c)
+          implied[m] = implied[m] || streak[c] >= m;
+      }
+      if (period > 0 && k >= next_attempt && n - 1 - k >= reach + period) {
+        if (fold(k, period)) break;
+        // A faster-growing term is still catching up; back off so
+        // failed proofs cost O(log n) attempts.
+        next_attempt = k + retry_gap;
+        retry_gap *= 2;
       }
     }
     return result;

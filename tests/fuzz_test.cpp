@@ -12,12 +12,19 @@
 #include <string>
 #include <vector>
 
+#include "sbmp/codegen/codegen.h"
 #include "sbmp/core/pipeline.h"
+#include "sbmp/dfg/dfg.h"
 #include "sbmp/frontend/lexer.h"
 #include "sbmp/frontend/parser.h"
 #include "sbmp/perfect/generator.h"
+#include "sbmp/sched/schedulers.h"
 #include "sbmp/sim/fault.h"
 #include "sbmp/support/rng.h"
+#include "sbmp/sync/sync.h"
+// Internal core, included directly so the fuzz sweep can pin the
+// simulator's steady-state fast-forward against its forced loop.
+#include "../src/sim/src/sim_core.h"
 
 namespace sbmp {
 namespace {
@@ -160,6 +167,59 @@ TEST_P(PipelineFuzz, ValidationPassIsDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
+                         ::testing::Range(1, 1 + fuzz_seed_count()));
+
+class SimulatorFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimulatorFuzz, SteadyStateFastForwardMatchesTheFullLoopExactly) {
+  // The simulator folds a periodic steady state in closed form when run
+  // without a hook; any hook forces the per-iteration loop. On random
+  // loops (2-16 statements, distances 1-4) the two must agree to the
+  // cycle for both schedulers on the four paper machines, here with a
+  // per-seed signal buffer depth and signal latency.
+  SplitMix64 rng(static_cast<std::uint64_t>(GetParam()) * 0x9e3779b97f4a7c15u);
+  LoopGenConfig config;
+  config.max_stmts = 16;
+  config.max_distance = 4;
+  config.trip = 2000;
+  const Loop loop = generate_random_loop(rng, config);
+  const int depth = static_cast<int>(rng.range(0, 3));
+  const int latency = static_cast<int>(rng.range(1, 2));
+  const TacFunction tac =
+      generate_tac(insert_synchronization(loop, analyze_dependences(loop)));
+  for (const int width : {2, 4}) {
+    for (const int fus : {1, 2}) {
+      MachineDesc machine = machines::paper(width, fus);
+      machine.signal_buffer_depth = depth;
+      machine.signal_latency = latency;
+      const Dfg dfg(tac, machine);
+      for (const auto kind :
+           {SchedulerKind::kList, SchedulerKind::kSyncAware}) {
+        const Schedule schedule = run_scheduler(kind, tac, dfg, machine, 2000);
+        for (const int procs : {0, 1, 2, 3, 5}) {
+          for (const std::int64_t n : {1, 3, 17, 100, 2000}) {
+            SimOptions options;
+            options.iterations = n;
+            options.processors = procs;
+            sim_detail::SimCore fast(tac, dfg, schedule, machine, options);
+            const SimResult f = fast.run(nullptr);
+            sim_detail::SimCore slow(tac, dfg, schedule, machine, options);
+            const SimResult s = slow.run([](std::int64_t) {});
+            const std::string where = loop.to_string() + " on " +
+                                      machine.to_string() + " procs " +
+                                      std::to_string(procs) + " n " +
+                                      std::to_string(n);
+            ASSERT_EQ(f.parallel_time, s.parallel_time) << where;
+            ASSERT_EQ(f.iteration_time, s.iteration_time) << where;
+            ASSERT_EQ(f.stall_cycles, s.stall_cycles) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorFuzz,
                          ::testing::Range(1, 1 + fuzz_seed_count()));
 
 TEST(FuzzRegression, DeepNesting) {

@@ -138,7 +138,8 @@ TEST(NeverDegradeDifferential, PerfectCorpusIsIdenticalAtAnyJobsCount) {
 TEST(NeverDegradeDifferential, RandomLoopsMatchUnderBothPathsAndOptions) {
   // Two loop shapes: the generator's default on the default machine, and
   // the buffered benchmark workload's (6-16 statements, trip 2000, 4x2
-  // with a 2-deep signal buffer, so the simulator never fast-forwards).
+  // with a 2-deep signal buffer, whose simulations fast-forward through
+  // the buffer term).
   // Each runs with and without access-level redundant-wait elimination,
   // which rewrites the TAC the guard reads.
   LoopGenConfig buffered_shape;

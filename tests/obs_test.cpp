@@ -301,13 +301,14 @@ TEST(PipelineObservability, MetricsAccumulateAcrossJobs8Batch) {
               schedule_digest(serial.loops[i]))
         << corpus[i].label;
   }
-  const MetricSample* loops =
-      registry.snapshot().find("sbmp_compile_loops_total");
+  // The samples point into the snapshot, so it must outlive them.
+  const MetricsSnapshot snapshot = registry.snapshot();
+  const MetricSample* loops = snapshot.find("sbmp_compile_loops_total");
   ASSERT_NE(loops, nullptr);
   EXPECT_EQ(loops->value, completed);
   // Every completed loop observed every phase histogram exactly once.
   const MetricSample* dep =
-      registry.snapshot().find("sbmp_compile_phase_ns", "phase=\"dep\"");
+      snapshot.find("sbmp_compile_phase_ns", "phase=\"dep\"");
   ASSERT_NE(dep, nullptr);
   EXPECT_EQ(dep->count, completed);
 }

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "sbmp/codegen/codegen.h"
+#include "sbmp/core/pipeline.h"
 #include "sbmp/dfg/dfg.h"
 #include "sbmp/frontend/parser.h"
+#include "sbmp/perfect/generator.h"
+#include "sbmp/perfect/suite.h"
 #include "sbmp/sched/schedulers.h"
 #include "sbmp/sim/analytic.h"
 #include "sbmp/sim/simulator.h"
@@ -415,7 +421,8 @@ end
 TEST(Simulator, SteadyStateFastForwardMatchesTheFullLoopExactly) {
   // run(nullptr) may take the steady-state closed form; a hook (even a
   // no-op) forces the per-iteration loop. The two must agree to the
-  // cycle on every field, for every processor count and trip count.
+  // cycle on every field, for every processor count, trip count, signal
+  // buffer depth and signal latency.
   for (const char* src : {
            "do I = 1, 100\n A[I] = B[I] * 2 + C[I]\nend\n",
            "doacross I = 1, 100\n A[I] = A[I-1] + B[I]\nend\n",
@@ -424,25 +431,137 @@ TEST(Simulator, SteadyStateFastForwardMatchesTheFullLoopExactly) {
            "doacross I = 1, 100\n A[I] = B[I-1] + B[I+3]\n B[I] = A[I-2] * "
            "2\nend\n",
        }) {
-    for (const auto kind : {SchedulerKind::kList, SchedulerKind::kSyncAware}) {
-      const Built b = build(src, kind);
-      for (const int procs : {0, 1, 2, 4, 32}) {
-        for (const std::int64_t n : {1, 2, 7, 100, 5000}) {
-          SimOptions options;
-          options.iterations = n;
-          options.processors = procs;
-          sim_detail::SimCore fast(b.tac, b.dfg, b.schedule, b.config,
-                                   options);
-          const SimResult f = fast.run(nullptr);
-          sim_detail::SimCore slow(b.tac, b.dfg, b.schedule, b.config,
-                                   options);
-          const SimResult s = slow.run([](std::int64_t) {});
-          EXPECT_EQ(f.parallel_time, s.parallel_time) << src << " n=" << n;
-          EXPECT_EQ(f.iteration_time, s.iteration_time) << src << " n=" << n;
-          EXPECT_EQ(f.stall_cycles, s.stall_cycles) << src << " n=" << n;
+    for (const int depth : {0, 1, 2, 3}) {
+      for (const int latency : {1, 2}) {
+        MachineDesc machine = machines::paper(4, 1);
+        machine.signal_buffer_depth = depth;
+        machine.signal_latency = latency;
+        for (const auto kind :
+             {SchedulerKind::kList, SchedulerKind::kSyncAware}) {
+          const Built b = build(src, kind, machine);
+          for (const int procs : {0, 1, 2, 4, 32}) {
+            for (const std::int64_t n : {1, 2, 7, 100, 5000}) {
+              SimOptions options;
+              options.iterations = n;
+              options.processors = procs;
+              sim_detail::SimCore fast(b.tac, b.dfg, b.schedule, b.config,
+                                       options);
+              const SimResult f = fast.run(nullptr);
+              sim_detail::SimCore slow(b.tac, b.dfg, b.schedule, b.config,
+                                       options);
+              const SimResult s = slow.run([](std::int64_t) {});
+              const std::string where = std::string(src) + " on " +
+                                        machine.to_string() + " procs " +
+                                        std::to_string(procs) + " n " +
+                                        std::to_string(n);
+              EXPECT_EQ(f.parallel_time, s.parallel_time) << where;
+              EXPECT_EQ(f.iteration_time, s.iteration_time) << where;
+              EXPECT_EQ(f.stall_cycles, s.stall_cycles) << where;
+            }
+          }
         }
       }
     }
+  }
+}
+
+TEST(Simulator, FastForwardFoldsPeriodTwoAndBoundedBufferSteadyStates) {
+  // Each case simulates 10^12 iterations, which finishes only if the
+  // steady-state fold fires. Past the transient, a period-c steady state
+  // makes T(n0 + q*c) linear in q and the stall total quadratic, so the
+  // forced loop at n0, n0 + c and n0 + 2c predicts both exactly.
+  struct Case {
+    std::string name;
+    LoopReport report;
+    MachineDesc machine;
+  };
+  std::vector<Case> cases;
+  // A corpus unit whose rows alternate between two steps.
+  PipelineOptions paper;
+  paper.machine = machines::paper(4, 2);
+  for (const auto& benchmark : perfect_suite()) {
+    for (const auto& loop : benchmark.program().loops) {
+      if (loop.name == "adm_photolysis")
+        cases.push_back({"ADM/adm_photolysis on 4x2",
+                         run_pipeline(loop, paper), paper.machine});
+    }
+  }
+  // A loop of the buffered benchmark's shape whose 2-deep signal buffer
+  // binds in its period-2 steady state.
+  LoopGenConfig shape;
+  shape.min_stmts = 6;
+  shape.max_stmts = 16;
+  shape.trip = 2000;
+  SplitMix64 rng(2);
+  PipelineOptions buffered;
+  buffered.machine = machines::paper(4, 2);
+  buffered.machine.signal_buffer_depth = 2;
+  buffered.iterations = 2000;
+  cases.push_back({"random loop of seed 2 on 4x2 buf=2",
+                   run_pipeline(generate_random_loop(rng, shape), buffered),
+                   buffered.machine});
+  ASSERT_EQ(cases.size(), 2u);
+
+  constexpr std::int64_t c = 2;
+  constexpr std::int64_t n0 = 1000;
+  constexpr std::int64_t n = 1'000'000'000'000;  // n - n0 is a multiple of c
+  for (const auto& [name, report, machine] : cases) {
+    ASSERT_TRUE(report.dfg.has_value()) << name;
+    const auto forced = [&](const MachineDesc& m, std::int64_t iterations) {
+      SimOptions options;
+      options.iterations = iterations;
+      sim_detail::SimCore core(report.tac, *report.dfg, report.schedule, m,
+                               options);
+      return core.run([](std::int64_t) {});
+    };
+    // Premise: the rows settle at period 2, not 1.
+    SimOptions head;
+    head.iterations = n0 + 1;
+    const auto rows = simulate_issue_times(report.tac, *report.dfg,
+                                           report.schedule, machine, head,
+                                           static_cast<int>(n0) + 1);
+    const auto step = [&](std::int64_t k, std::int64_t back) {
+      std::vector<std::int64_t> d;
+      for (std::size_t g = 0; g < rows[static_cast<std::size_t>(k)].size();
+           ++g)
+        d.push_back(rows[static_cast<std::size_t>(k)][g] -
+                    rows[static_cast<std::size_t>(k - back)][g]);
+      return d;
+    };
+    EXPECT_NE(step(n0, 1), step(n0 - 1, 1)) << name;
+    EXPECT_EQ(step(n0, 2), step(n0 - 1, 2)) << name;
+    const SimResult t0 = forced(machine, n0);
+    const SimResult t1 = forced(machine, n0 + c);
+    const SimResult t2 = forced(machine, n0 + 2 * c);
+    if (machine.signal_buffer_depth > 0) {
+      MachineDesc unbounded = machine;
+      unbounded.signal_buffer_depth = 0;
+      EXPECT_NE(forced(unbounded, n0).parallel_time, t0.parallel_time)
+          << name << ": the buffer must bind";
+    }
+    ASSERT_EQ(t2.parallel_time - t1.parallel_time,
+              t1.parallel_time - t0.parallel_time)
+        << name;
+
+    SimOptions options;
+    options.iterations = n;
+    const SimResult r =
+        simulate(report.tac, *report.dfg, report.schedule, machine, options);
+    const std::int64_t q = (n - n0) / c;
+    EXPECT_EQ(r.parallel_time,
+              t0.parallel_time + q * (t1.parallel_time - t0.parallel_time))
+        << name;
+    // The stall total, saturating like the per-iteration sat_add.
+    const __int128 d1 = t1.stall_cycles - t0.stall_cycles;
+    const __int128 d2 =
+        t2.stall_cycles - 2 * t1.stall_cycles + t0.stall_cycles;
+    const __int128 stalls = t0.stall_cycles + q * d1 +
+                            static_cast<__int128>(q) * (q - 1) / 2 * d2;
+    EXPECT_EQ(r.stall_cycles,
+              static_cast<std::int64_t>(std::min<__int128>(
+                  stalls, std::numeric_limits<std::int64_t>::max())))
+        << name;
+    EXPECT_EQ(r.iteration_time, t0.iteration_time) << name;
   }
 }
 
