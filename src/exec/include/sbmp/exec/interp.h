@@ -3,13 +3,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <string>
-#include <vector>
-
-#include "sbmp/codegen/tac.h"
-#include "sbmp/exec/memory.h"
-#include "sbmp/ir/loop.h"
-#include "sbmp/support/status.h"
 
 namespace sbmp {
 
@@ -73,141 +66,5 @@ namespace sbmp {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a)
                                    << (static_cast<std::uint64_t>(b) & 63u));
 }
-
-// ---------------------------------------------------------------------
-// The compiled program.
-
-/// Micro-op the interpreter executes; the TAC opcode with the float/int
-/// split resolved at build time so the hot loop is one flat switch.
-enum class XOp : std::uint8_t {
-  kIntAdd,
-  kIntSub,
-  kIntMul,
-  kIntDiv,
-  kShl,
-  kFloatAdd,
-  kFloatSub,
-  kFloatMul,
-  kFloatDiv,
-  kLoad,
-  kStore,
-  kWait,
-  kSend,
-};
-
-/// Operand with every conversion decision made at build time. Registers
-/// are single-assignment, so each register has one static type; when a
-/// use site wants the other interpretation the operand carries an
-/// explicit convert kind, and immediates are pre-encoded in the type
-/// the use site reads.
-struct XOperand {
-  enum class Kind : std::uint8_t {
-    kNone,
-    kReg,         ///< register already in the use-site type
-    kRegToFloat,  ///< int-typed register feeding a float context
-    kRegToInt,    ///< float-typed register feeding an int context
-    kImm,         ///< `bits` pre-encoded in the use-site type
-  };
-  Kind kind = Kind::kNone;
-  std::int32_t reg = 0;
-  std::uint64_t bits = 0;
-};
-
-struct XInstr {
-  XOp op = XOp::kIntAdd;
-  std::int32_t id = 0;  ///< source TacInstr id, for diagnostics
-  std::int32_t dst = 0;
-  std::int32_t array = -1;  ///< kLoad/kStore: index into ExecMemory.arrays
-  XOperand a;
-  XOperand b;
-  // kWait / kSend only:
-  std::int32_t signal_stmt = -1;
-  std::int64_t sync_distance = 0;
-};
-
-/// Runtime fault raised by a single micro-op (out-of-range or
-/// misaligned address). By construction — array bounds are derived from
-/// the same affine subscripts the addresses are computed from — a fault
-/// indicates an executor bug, not a bad loop, and maps to kInternal.
-struct ExecFault {
-  std::int32_t instr_id = 0;
-  std::string message;
-};
-
-/// A LoopReport's TAC lowered to the executable form for one concrete
-/// iteration count and memory seed: typed operands, array indexes
-/// resolved, bounds and live-in values precomputed.
-class ExecProgram {
- public:
-  /// Compiles `tac` for `iterations` runs of `loop`'s body. Fails with
-  /// kResource when a subscript leaves the addressable range or the
-  /// total footprint exceeds `max_memory_bytes`; kInternal on malformed
-  /// TAC (unknown register, immediate-only store address).
-  [[nodiscard]] static Status build(const TacFunction& tac, const Loop& loop,
-                                    std::int64_t iterations,
-                                    std::uint64_t memory_seed,
-                                    std::int64_t max_memory_bytes,
-                                    ExecProgram* out);
-
-  /// Instructions in TAC id order (`instrs()[id - 1]`).
-  [[nodiscard]] const std::vector<XInstr>& instrs() const { return instrs_; }
-  [[nodiscard]] std::int64_t iterations() const { return iterations_; }
-  [[nodiscard]] std::int64_t lower() const { return lower_; }
-  [[nodiscard]] int reg_count() const { return reg_count_; }
-  [[nodiscard]] int iter_reg() const { return iter_reg_; }
-  [[nodiscard]] int signal_width() const { return signal_width_; }
-  [[nodiscard]] std::int64_t max_wait_distance() const {
-    return max_wait_distance_;
-  }
-  /// Whether any kSend posts this signal statement (waits on a
-  /// send-less signal are skipped, matching the simulator).
-  [[nodiscard]] bool send_exists(int stmt) const {
-    return stmt >= 0 && stmt < signal_width_ &&
-           send_exists_[static_cast<std::size_t>(stmt)];
-  }
-
-  /// Freshly initialised memory: every cell a deterministic function of
-  /// (seed, array name, element index) alone — identical for every
-  /// engine that executes this program.
-  [[nodiscard]] ExecMemory initial_memory() const;
-
-  /// Register frame with live-ins (scalars) set and everything else
-  /// zero. Registers are single-assignment and defined before use
-  /// within the body, so one frame per worker can be reused across
-  /// iterations; only the iteration register changes per iteration.
-  [[nodiscard]] std::vector<std::uint64_t> frame_template() const;
-
- private:
-  std::vector<XInstr> instrs_;
-  std::vector<std::pair<int, std::uint64_t>> live_ins_;  ///< reg -> bits
-  struct ArrayPlan {
-    std::string name;
-    bool is_float = false;
-    std::int64_t first = 0;
-    std::int64_t count = 0;
-  };
-  std::vector<ArrayPlan> arrays_;
-  std::uint64_t seed_ = 0;
-  std::int64_t iterations_ = 0;
-  std::int64_t lower_ = 0;
-  int reg_count_ = 0;
-  int iter_reg_ = 0;
-  int signal_width_ = 0;
-  std::int64_t max_wait_distance_ = 0;
-  std::vector<char> send_exists_;
-};
-
-/// Executes one non-sync micro-op. Returns false on a runtime fault
-/// (bounds/alignment), filling `fault`. kWait/kSend are the caller's
-/// job: the DOACROSS executor lowers them onto the SignalBoard and the
-/// serial reference skips them.
-[[nodiscard]] bool exec_step(const XInstr& x, std::uint64_t* regs,
-                             ExecMemory& memory, ExecFault* fault);
-
-/// Serial reference semantics: iterations in order, the body in program
-/// (id) order, sync ops skipped. This is the ground truth the threaded
-/// executor must match bit-for-bit.
-[[nodiscard]] Status run_reference_interp(const ExecProgram& program,
-                                          ExecMemory* memory);
 
 }  // namespace sbmp

@@ -30,8 +30,10 @@ struct ExecArray {
 struct ExecMemory {
   std::vector<ExecArray> arrays;
 
-  /// Order-sensitive FNV-1a/murmur fingerprint over names, layouts and
-  /// every cell bit pattern. Stable across platforms and runs.
+  /// Order-sensitive digest over names, layouts and every cell bit
+  /// pattern: four word-at-a-time lanes of xxHash64's round plus a
+  /// layout lane, finished with murmur3's fmix64. Stable across
+  /// platforms and runs.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   [[nodiscard]] std::int64_t total_cells() const;

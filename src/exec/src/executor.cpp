@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "program.h"
 #include "sbmp/exec/sync.h"
 #include "sbmp/obs/metrics.h"
 #include "sbmp/obs/trace.h"
@@ -123,18 +124,18 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   result.stats.window = board.rows();
 
   // Flatten the schedule into group-ordered micro-ops once; workers
-  // then run over one contiguous array per iteration.
-  std::vector<XInstr> ordered;
-  ordered.reserve(program.instrs().size());
-  std::vector<std::size_t> group_begin;
-  group_begin.reserve(schedule_.groups.size() + 1);
+  // then run over one contiguous array per iteration. An iteration
+  // stops only where a per-group spin is modelled: with none it is one
+  // interpreter call, since a call per group costs a fifth of a
+  // 1-worker run on the corpus.
+  const std::int64_t spin_ns = options.spin_ns_per_group;
+  OpSequence ordered;
+  std::vector<std::size_t> stops;
   for (const auto& group : schedule_.groups) {
-    group_begin.push_back(ordered.size());
-    for (const int id : group)
-      ordered.push_back(program.instrs()[static_cast<std::size_t>(id - 1)]);
+    for (const int id : group) program.append_ops(id, &ordered);
+    if (spin_ns > 0) stops.push_back(ordered.ops.size());
   }
-  group_begin.push_back(ordered.size());
-  const std::size_t group_count = schedule_.groups.size();
+  if (spin_ns <= 0) stops.push_back(ordered.ops.size());
 
   // Per-worker completion counts, read by the ring-reuse gate. All
   // iterations <= T are complete iff every worker w has completed
@@ -155,17 +156,18 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   };
 
   std::vector<WorkerTally> tallies(static_cast<std::size_t>(threads));
-  const std::vector<std::uint64_t> frame = program.frame_template();
-  const int iter_reg = program.iter_reg();
+  const std::vector<std::uint64_t> frame_template = program.frame_template();
+  const auto iter_slot = static_cast<std::size_t>(program.iter_reg());
   const std::int64_t lower = program.lower();
   const std::int64_t window = board.rows();
-  const std::int64_t spin_ns = options.spin_ns_per_group;
-  ExecMemory& memory = result.memory;
+  const ExecMemory& memory = result.memory;
+  const std::vector<ArrayView> views = array_views(result.memory);
+  const ExecOp* const body = ordered.ops.data();
   Tracer* const tracer = options.tracer;
 
   const auto worker = [&](int w) {
     WorkerTally& tally = tallies[static_cast<std::size_t>(w)];
-    std::vector<std::uint64_t> regs = frame;
+    std::vector<std::uint64_t> frame = frame_template;
     std::atomic<std::int64_t>& my_done = done[static_cast<std::size_t>(w)];
     // Wave spans: bound trace volume by grouping this worker's
     // iterations into at most trace_waves_per_worker spans.
@@ -202,36 +204,37 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
         if (outcome.blocked) ++tally.gate_blocks;
         if (!outcome.satisfied) return;
       }
-      regs[static_cast<std::size_t>(iter_reg)] =
+      frame[iter_slot] =
           static_cast<std::uint64_t>(lower) + static_cast<std::uint64_t>(k);
-      for (std::size_t g = 0; g < group_count; ++g) {
-        for (std::size_t s = group_begin[g]; s < group_begin[g + 1]; ++s) {
-          const XInstr& x = ordered[s];
-          if (x.op == XOp::kWait) {
-            const std::int64_t src = k - x.sync_distance;
-            // Matches the simulator: waits whose source iteration does
-            // not exist, or whose signal is never sent, impose nothing.
-            if (src < 0 || !program.send_exists(x.signal_stmt)) continue;
-            ++tally.waits;
-            const auto outcome = board.await_signal(x.signal_stmt, src);
-            if (outcome.blocked) ++tally.blocked_waits;
-            if (!outcome.satisfied) return;
-          } else if (x.op == XOp::kSend) {
-            ++tally.sends;
-            board.post(x.signal_stmt, k);
-          } else {
-            ExecFault fault;
-            if (!exec_step(x, regs.data(), memory, &fault)) {
-              fail(Status::error(
-                  StatusCode::kInternal, kStage,
-                  "runtime fault at instruction " +
-                      std::to_string(fault.instr_id) + ", iteration " +
-                      std::to_string(k) + ": " + fault.message));
-              return;
-            }
-          }
+      const auto sync = [&](const ExecOp& op) {
+        if (op.code == OpCode::kSend) {
+          ++tally.sends;
+          board.post(op.dst, k);
+          return true;
         }
+        // Matches the simulator: a wait whose source iteration does not
+        // exist imposes nothing.
+        const std::int64_t src = k - op.distance();
+        if (src < 0) return true;
+        ++tally.waits;
+        const auto outcome = board.await_signal(op.dst, src);
+        if (outcome.blocked) ++tally.blocked_waits;
+        return outcome.satisfied;
+      };
+      const ExecOp* stop = nullptr;
+      std::size_t begin = 0;
+      for (const std::size_t end : stops) {
+        stop = exec_ops(body + begin, body + end, frame.data(), views.data(),
+                        sync);
+        if (stop != nullptr) break;
         if (spin_ns > 0) spin_for(spin_ns);
+        begin = end;
+      }
+      if (stop != nullptr) {
+        // A refused wait means a peer failed and halted the run.
+        if (stop->code != OpCode::kWait)
+          fail(runtime_fault(ordered, *stop, frame.data(), memory, k));
+        return;
       }
       my_done.store(++completed, std::memory_order_seq_cst);
       board.hub().wake();

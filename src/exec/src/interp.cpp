@@ -1,9 +1,11 @@
-#include "sbmp/exec/interp.h"
-
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "program.h"
 #include "sbmp/support/hash.h"
 #include "sbmp/support/overflow.h"
 #include "sbmp/support/rng.h"
@@ -33,38 +35,6 @@ std::uint64_t seeded_bits(std::uint64_t seed, std::uint64_t name_hash,
   return static_cast<std::uint64_t>(v);
 }
 
-std::int64_t fetch_int(const XOperand& o, const std::uint64_t* regs) {
-  switch (o.kind) {
-    case XOperand::Kind::kNone:
-      return 0;
-    case XOperand::Kind::kReg:
-      return static_cast<std::int64_t>(regs[o.reg]);
-    case XOperand::Kind::kRegToInt:
-      return exec_f2i(exec_double_of(regs[o.reg]));
-    case XOperand::Kind::kRegToFloat:
-      return 0;  // never built for an int context
-    case XOperand::Kind::kImm:
-      return static_cast<std::int64_t>(o.bits);
-  }
-  return 0;
-}
-
-double fetch_float(const XOperand& o, const std::uint64_t* regs) {
-  switch (o.kind) {
-    case XOperand::Kind::kNone:
-      return 0.0;
-    case XOperand::Kind::kReg:
-      return exec_double_of(regs[o.reg]);
-    case XOperand::Kind::kRegToFloat:
-      return static_cast<double>(static_cast<std::int64_t>(regs[o.reg]));
-    case XOperand::Kind::kRegToInt:
-      return 0.0;  // never built for a float context
-    case XOperand::Kind::kImm:
-      return exec_double_of(o.bits);
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 Status ExecProgram::build(const TacFunction& tac, const Loop& loop,
@@ -74,28 +44,26 @@ Status ExecProgram::build(const TacFunction& tac, const Loop& loop,
   p.seed_ = memory_seed;
   p.iterations_ = std::max<std::int64_t>(iterations, 0);
   p.lower_ = loop.lower;
-  p.reg_count_ = static_cast<int>(tac.reg_names.size());
+  const int reg_count = static_cast<int>(tac.reg_names.size());
   p.iter_reg_ = tac.iter_reg;
-  if (p.iter_reg_ <= 0 || p.iter_reg_ >= p.reg_count_)
+  if (p.iter_reg_ <= 0 || p.iter_reg_ >= reg_count)
     return Status::error(StatusCode::kInternal, kStage,
                          "iteration register out of range");
 
   // Static register typing: registers are single-assignment, so each
   // has exactly one type — live-ins from the loop's element-type table,
   // temporaries from their defining instruction.
-  std::vector<char> reg_float(static_cast<std::size_t>(p.reg_count_), 0);
-  std::vector<std::pair<int, std::uint64_t>> live_ins;
+  std::vector<char> reg_float(static_cast<std::size_t>(reg_count), 0);
   for (const auto& [name, reg] : tac.scalar_regs) {
-    if (reg <= 0 || reg >= p.reg_count_)
+    if (reg <= 0 || reg >= reg_count)
       return Status::error(StatusCode::kInternal, kStage,
                            "scalar register out of range: " + name);
     const bool is_float = loop.array_type(name) == ElemType::kReal;
     reg_float[static_cast<std::size_t>(reg)] = is_float ? 1 : 0;
-    live_ins.emplace_back(
+    p.frame_init_.emplace_back(
         reg, seeded_bits(memory_seed, hash_bytes("scalar:" + name), 0,
                          is_float));
   }
-  p.live_ins_ = std::move(live_ins);
 
   // Array planning: one dense store per array, sized from the affine
   // subscript extremes over the executed iteration range. Affine
@@ -167,118 +135,161 @@ Status ExecProgram::build(const TacFunction& tac, const Loop& loop,
     p.arrays_[ai].count = static_cast<std::int64_t>(count);
   }
 
-  // Lower each instruction, resolving operand conversions against the
-  // static register types and pre-encoding immediates in the use-site
-  // type.
-  const auto operand = [&](const Operand& o, bool want_float,
-                           XOperand* x) -> bool {
+  // The synchronization payload indexes the SignalBoard, so it is
+  // checked before anything is sized from it.
+  std::vector<char> sent(tac.instrs.size() + 1, 0);
+  for (const auto& instr : tac.instrs) {
+    if (!instr.is_sync()) continue;
+    if (instr.signal_stmt < 0 || instr.signal_stmt > tac.size())
+      return Status::error(StatusCode::kInternal, kStage,
+                           "signal statement " +
+                               std::to_string(instr.signal_stmt) +
+                               " out of range in instruction " +
+                               std::to_string(instr.id));
+    if (instr.op == Opcode::kWait && instr.sync_distance < 1)
+      return Status::error(StatusCode::kInternal, kStage,
+                           "wait distance " +
+                               std::to_string(instr.sync_distance) +
+                               " below 1 in instruction " +
+                               std::to_string(instr.id));
+    p.signal_width_ = std::max(p.signal_width_, instr.signal_stmt + 1);
+    if (instr.op == Opcode::kWait)
+      p.max_wait_distance_ =
+          std::max(p.max_wait_distance_, instr.sync_distance);
+    else
+      sent[static_cast<std::size_t>(instr.signal_stmt)] = 1;
+  }
+
+  // Frame slots: the registers, then constants and conversion scratch in
+  // order of first use. No instruction may name register 0, so slot 0
+  // holds 0 for good and stands in for absent operands and zero
+  // immediates.
+  std::int32_t next_slot = reg_count;
+  std::map<std::uint64_t, std::int32_t> constants{{0, 0}};
+  const auto emit = [&](const ExecOp& op, int id) {
+    p.program_.ops.push_back(op);
+    p.program_.ids.push_back(id);
+  };
+  // The slot holding operand `o` in the use-site type: immediates are
+  // pre-encoded constants, and a register of the other type is
+  // converted into a scratch slot by an op emitted before the user.
+  const auto slot_of = [&](const Operand& o, bool want_float, int id,
+                           std::int32_t* slot) -> bool {
     switch (o.kind) {
       case Operand::Kind::kNone:
-        x->kind = XOperand::Kind::kNone;
+        *slot = 0;
         return true;
-      case Operand::Kind::kImm:
-        x->kind = XOperand::Kind::kImm;
-        x->bits = want_float ? exec_bits_of(static_cast<double>(o.imm))
-                             : static_cast<std::uint64_t>(o.imm);
+      case Operand::Kind::kImm: {
+        const std::uint64_t bits =
+            want_float ? exec_bits_of(static_cast<double>(o.imm))
+                       : static_cast<std::uint64_t>(o.imm);
+        const auto [it, inserted] = constants.emplace(bits, next_slot);
+        if (inserted) p.frame_init_.emplace_back(next_slot++, bits);
+        *slot = it->second;
         return true;
+      }
       case Operand::Kind::kReg: {
-        if (o.reg <= 0 || o.reg >= p.reg_count_) return false;
-        const bool have_float =
-            reg_float[static_cast<std::size_t>(o.reg)] != 0;
-        x->reg = o.reg;
-        x->kind = have_float == want_float ? XOperand::Kind::kReg
-                  : want_float             ? XOperand::Kind::kRegToFloat
-                                           : XOperand::Kind::kRegToInt;
+        if (o.reg <= 0 || o.reg >= reg_count) return false;
+        *slot = o.reg;
+        if ((reg_float[static_cast<std::size_t>(o.reg)] != 0) == want_float)
+          return true;
+        ExecOp convert;
+        convert.code = want_float ? OpCode::kIntToFloat : OpCode::kFloatToInt;
+        convert.dst = next_slot++;
+        convert.a = o.reg;
+        emit(convert, id);
+        *slot = convert.dst;
         return true;
       }
     }
     return false;
   };
 
-  p.instrs_.reserve(tac.instrs.size());
+  p.op_begin_.reserve(tac.instrs.size() + 1);
   for (const auto& instr : tac.instrs) {
-    XInstr x;
-    x.id = instr.id;
+    p.op_begin_.push_back(p.program_.ops.size());
+    ExecOp x;
+    if (instr.is_sync()) {
+      x.dst = instr.signal_stmt;
+      if (instr.op == Opcode::kSend) {
+        x.code = OpCode::kSend;
+      } else {
+        // A wait on a signal no send posts imposes nothing, as in the
+        // simulator.
+        if (sent[static_cast<std::size_t>(instr.signal_stmt)] == 0) continue;
+        x.code = OpCode::kWait;
+        const auto d = static_cast<std::uint64_t>(instr.sync_distance);
+        x.a = static_cast<std::int32_t>(static_cast<std::uint32_t>(d));
+        x.b = static_cast<std::int32_t>(static_cast<std::uint32_t>(d >> 32));
+      }
+      emit(x, instr.id);
+      continue;
+    }
     bool want_float_a = false;
     bool want_float_b = false;
     bool dst_float = false;
     bool has_dst = true;
     switch (instr.op) {
       case Opcode::kAddI:
-        x.op = XOp::kIntAdd;
+        x.code = OpCode::kIntAdd;
         break;
       case Opcode::kMulI:
-        x.op = XOp::kIntMul;
+        x.code = OpCode::kIntMul;
         break;
       case Opcode::kShl:
-        x.op = XOp::kShl;
+        x.code = OpCode::kShl;
         break;
       case Opcode::kAdd:
-        x.op = instr.is_float ? XOp::kFloatAdd : XOp::kIntAdd;
+        x.code = instr.is_float ? OpCode::kFloatAdd : OpCode::kIntAdd;
         want_float_a = want_float_b = dst_float = instr.is_float;
         break;
       case Opcode::kSub:
-        x.op = instr.is_float ? XOp::kFloatSub : XOp::kIntSub;
+        x.code = instr.is_float ? OpCode::kFloatSub : OpCode::kIntSub;
         want_float_a = want_float_b = dst_float = instr.is_float;
         break;
       case Opcode::kMul:
-        x.op = instr.is_float ? XOp::kFloatMul : XOp::kIntMul;
+        x.code = instr.is_float ? OpCode::kFloatMul : OpCode::kIntMul;
         want_float_a = want_float_b = dst_float = instr.is_float;
         break;
       case Opcode::kDiv:
-        x.op = instr.is_float ? XOp::kFloatDiv : XOp::kIntDiv;
+        x.code = instr.is_float ? OpCode::kFloatDiv : OpCode::kIntDiv;
         want_float_a = want_float_b = dst_float = instr.is_float;
         break;
       case Opcode::kLoad:
-        x.op = XOp::kLoad;
+        x.code = OpCode::kLoad;
         dst_float = p.arrays_[array_index.at(instr.array)].is_float;
         break;
       case Opcode::kStore:
-        x.op = XOp::kStore;
+        x.code = OpCode::kStore;
         want_float_b = p.arrays_[array_index.at(instr.array)].is_float;
         has_dst = false;
         break;
       case Opcode::kWait:
-        x.op = XOp::kWait;
-        has_dst = false;
-        break;
       case Opcode::kSend:
-        x.op = XOp::kSend;
-        has_dst = false;
-        break;
+        break;  // lowered above
     }
-    if (instr.is_mem())
-      x.array = static_cast<std::int32_t>(array_index.at(instr.array));
-    if (instr.is_sync()) {
-      x.signal_stmt = instr.signal_stmt;
-      x.sync_distance = instr.sync_distance;
-      if (instr.signal_stmt >= p.signal_width_)
-        p.signal_width_ = instr.signal_stmt + 1;
-      if (instr.op == Opcode::kWait)
-        p.max_wait_distance_ =
-            std::max(p.max_wait_distance_, instr.sync_distance);
-    } else {
-      if (!operand(instr.a, want_float_a, &x.a) ||
-          !operand(instr.b, want_float_b, &x.b))
+    if (!slot_of(instr.a, want_float_a, instr.id, &x.a) ||
+        !slot_of(instr.b, want_float_b, instr.id, &x.b))
+      return Status::error(StatusCode::kInternal, kStage,
+                           "malformed operand in instruction " +
+                               std::to_string(instr.id));
+    if (has_dst) {
+      if (instr.dst <= 0 || instr.dst >= reg_count)
         return Status::error(StatusCode::kInternal, kStage,
-                             "malformed operand in instruction " +
+                             "destination register out of range in "
+                             "instruction " +
                                  std::to_string(instr.id));
-      if (has_dst) {
-        if (instr.dst <= 0 || instr.dst >= p.reg_count_)
-          return Status::error(StatusCode::kInternal, kStage,
-                               "destination register out of range in "
-                               "instruction " +
-                                   std::to_string(instr.id));
-        x.dst = instr.dst;
-        reg_float[static_cast<std::size_t>(instr.dst)] = dst_float ? 1 : 0;
-      }
+      x.dst = instr.dst;
+      reg_float[static_cast<std::size_t>(instr.dst)] = dst_float ? 1 : 0;
     }
-    p.instrs_.push_back(x);
+    if (instr.op == Opcode::kLoad)
+      x.b = static_cast<std::int32_t>(array_index.at(instr.array));
+    if (instr.op == Opcode::kStore)
+      x.dst = static_cast<std::int32_t>(array_index.at(instr.array));
+    emit(x, instr.id);
   }
-  p.send_exists_.assign(static_cast<std::size_t>(p.signal_width_), 0);
-  for (const auto& instr : tac.instrs)
-    if (instr.op == Opcode::kSend)
-      p.send_exists_[static_cast<std::size_t>(instr.signal_stmt)] = 1;
+  p.op_begin_.push_back(p.program_.ops.size());
+  p.frame_size_ = static_cast<std::size_t>(next_slot);
 
   *out = std::move(p);
   return Status::okay();
@@ -303,112 +314,71 @@ ExecMemory ExecProgram::initial_memory() const {
 }
 
 std::vector<std::uint64_t> ExecProgram::frame_template() const {
-  std::vector<std::uint64_t> regs(static_cast<std::size_t>(reg_count_), 0);
-  for (const auto& [reg, bits] : live_ins_)
-    regs[static_cast<std::size_t>(reg)] = bits;
-  return regs;
+  std::vector<std::uint64_t> frame(frame_size_, 0);
+  for (const auto& [slot, bits] : frame_init_)
+    frame[static_cast<std::size_t>(slot)] = bits;
+  return frame;
 }
 
-bool exec_step(const XInstr& x, std::uint64_t* regs, ExecMemory& memory,
-               ExecFault* fault) {
-  switch (x.op) {
-    case XOp::kIntAdd:
-      regs[x.dst] = static_cast<std::uint64_t>(
-          exec_iadd(fetch_int(x.a, regs), fetch_int(x.b, regs)));
-      return true;
-    case XOp::kIntSub:
-      regs[x.dst] = static_cast<std::uint64_t>(
-          exec_isub(fetch_int(x.a, regs), fetch_int(x.b, regs)));
-      return true;
-    case XOp::kIntMul:
-      regs[x.dst] = static_cast<std::uint64_t>(
-          exec_imul(fetch_int(x.a, regs), fetch_int(x.b, regs)));
-      return true;
-    case XOp::kIntDiv:
-      regs[x.dst] = static_cast<std::uint64_t>(
-          exec_idiv(fetch_int(x.a, regs), fetch_int(x.b, regs)));
-      return true;
-    case XOp::kShl:
-      regs[x.dst] = static_cast<std::uint64_t>(
-          exec_ishl(fetch_int(x.a, regs), fetch_int(x.b, regs)));
-      return true;
-    case XOp::kFloatAdd:
-      regs[x.dst] =
-          exec_bits_of(fetch_float(x.a, regs) + fetch_float(x.b, regs));
-      return true;
-    case XOp::kFloatSub:
-      regs[x.dst] =
-          exec_bits_of(fetch_float(x.a, regs) - fetch_float(x.b, regs));
-      return true;
-    case XOp::kFloatMul:
-      regs[x.dst] =
-          exec_bits_of(fetch_float(x.a, regs) * fetch_float(x.b, regs));
-      return true;
-    case XOp::kFloatDiv:
-      regs[x.dst] =
-          exec_bits_of(fetch_float(x.a, regs) / fetch_float(x.b, regs));
-      return true;
-    case XOp::kLoad:
-    case XOp::kStore: {
-      const std::int64_t addr = fetch_int(x.a, regs);
-      if ((addr & 3) != 0) {
-        fault->instr_id = x.id;
-        fault->message = "misaligned byte address " + std::to_string(addr);
-        return false;
-      }
-      const std::int64_t elem = addr >> 2;
-      ExecArray& arr = memory.arrays[static_cast<std::size_t>(x.array)];
-      const std::int64_t off = elem - arr.first;
-      if (off < 0 || off >= static_cast<std::int64_t>(arr.cells.size())) {
-        fault->instr_id = x.id;
-        fault->message = arr.name + "[" + std::to_string(elem) +
-                         "] outside planned extent [" +
-                         std::to_string(arr.first) + ", " +
-                         std::to_string(arr.first +
-                                        static_cast<std::int64_t>(
-                                            arr.cells.size()) -
-                                        1) +
-                         "]";
-        return false;
-      }
-      if (x.op == XOp::kLoad) {
-        regs[x.dst] = arr.cells[static_cast<std::size_t>(off)];
-      } else {
-        arr.cells[static_cast<std::size_t>(off)] =
-            arr.is_float
-                ? exec_bits_of(fetch_float(x.b, regs))
-                : static_cast<std::uint64_t>(fetch_int(x.b, regs));
-      }
-      return true;
-    }
-    case XOp::kWait:
-    case XOp::kSend:
-      return true;  // synchronization is the caller's concern
+void ExecProgram::append_ops(int id, OpSequence* out) const {
+  const auto from = static_cast<std::ptrdiff_t>(
+      op_begin_[static_cast<std::size_t>(id - 1)]);
+  const auto to =
+      static_cast<std::ptrdiff_t>(op_begin_[static_cast<std::size_t>(id)]);
+  out->ops.insert(out->ops.end(), program_.ops.begin() + from,
+                  program_.ops.begin() + to);
+  out->ids.insert(out->ids.end(), program_.ids.begin() + from,
+                  program_.ids.begin() + to);
+}
+
+std::vector<ArrayView> array_views(ExecMemory& memory) {
+  std::vector<ArrayView> views;
+  views.reserve(memory.arrays.size());
+  for (ExecArray& arr : memory.arrays)
+    views.push_back({arr.cells.data(), arr.first, arr.cells.size()});
+  return views;
+}
+
+Status runtime_fault(const OpSequence& sequence, const ExecOp& op,
+                     const std::uint64_t* frame, const ExecMemory& memory,
+                     std::int64_t k) {
+  const auto index = static_cast<std::size_t>(&op - sequence.ops.data());
+  const auto addr = static_cast<std::int64_t>(frame[op.a]);
+  const ExecArray& arr = memory.arrays[static_cast<std::size_t>(
+      op.code == OpCode::kLoad ? op.b : op.dst)];
+  std::string what;
+  if ((addr & 3) != 0) {
+    what = "misaligned byte address " + std::to_string(addr);
+  } else {
+    const auto last =
+        arr.first + static_cast<std::int64_t>(arr.cells.size()) - 1;
+    what = arr.name + "[" + std::to_string(addr >> 2) +
+           "] outside planned extent [" + std::to_string(arr.first) + ", " +
+           std::to_string(last) + "]";
   }
-  return true;
+  return Status::error(StatusCode::kInternal, kStage,
+                       "runtime fault at instruction " +
+                           std::to_string(sequence.ids[index]) +
+                           ", iteration " + std::to_string(k) + ": " + what);
 }
 
 Status run_reference_interp(const ExecProgram& program, ExecMemory* memory) {
   *memory = program.initial_memory();
-  std::vector<std::uint64_t> regs = program.frame_template();
-  const std::vector<XInstr>& instrs = program.instrs();
-  const int iter_reg = program.iter_reg();
+  std::vector<std::uint64_t> frame = program.frame_template();
+  const std::vector<ArrayView> views = array_views(*memory);
+  const OpSequence& body = program.program_order();
+  const ExecOp* const begin = body.ops.data();
+  const ExecOp* const end = begin + body.ops.size();
+  const auto iter_slot = static_cast<std::size_t>(program.iter_reg());
   const std::int64_t n = program.iterations();
   for (std::int64_t k = 0; k < n; ++k) {
     // Unsigned addition: wraps identically to the threaded executor on
     // degenerate bounds instead of overflowing.
-    regs[static_cast<std::size_t>(iter_reg)] =
-        static_cast<std::uint64_t>(program.lower()) +
-        static_cast<std::uint64_t>(k);
-    for (const XInstr& x : instrs) {
-      if (x.op == XOp::kWait || x.op == XOp::kSend) continue;
-      ExecFault fault;
-      if (!exec_step(x, regs.data(), *memory, &fault))
-        return Status::error(StatusCode::kInternal, kStage,
-                             "reference interpretation fault at instruction " +
-                                 std::to_string(fault.instr_id) + ": " +
-                                 fault.message);
-    }
+    frame[iter_slot] = static_cast<std::uint64_t>(program.lower()) +
+                       static_cast<std::uint64_t>(k);
+    if (const ExecOp* stop = exec_ops(begin, end, frame.data(), views.data(),
+                                      [](const ExecOp&) { return true; }))
+      return runtime_fault(body, *stop, frame.data(), *memory, k);
   }
   return Status::okay();
 }

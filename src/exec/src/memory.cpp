@@ -1,5 +1,6 @@
 #include "sbmp/exec/memory.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -27,19 +28,62 @@ std::string render_cell(std::uint64_t bits, bool is_float) {
   return buf;
 }
 
+// xxHash64's primes and accumulator round (Yann Collet's XXH64).
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
+
+constexpr std::uint64_t digest_round(std::uint64_t acc, std::uint64_t input) {
+  return std::rotl(acc + input * kPrime2, 31) * kPrime1;
+}
+
 }  // namespace
 
 std::uint64_t ExecMemory::fingerprint() const {
-  Hasher64 h;
-  h.update_u64(arrays.size());
-  for (const auto& a : arrays) {
-    h.update(a.name);
-    h.update_u64(a.is_float ? 1 : 0);
-    h.update_i64(a.first);
-    h.update_u64(a.cells.size());
-    for (const std::uint64_t cell : a.cells) h.update_u64(cell);
+  // Cell c of every array feeds lane c mod 4, so the four lanes run as
+  // independent dependency chains; the header lane takes the layout, so
+  // no cell can move between arrays or positions unnoticed. Each round
+  // is a bijection of its accumulator and of its input, and so is each
+  // step of the final chain: a change to a single cell or to a single
+  // header value always changes the digest.
+  std::uint64_t header = kPrime5;
+  std::uint64_t v0 = kPrime1 + kPrime2;
+  std::uint64_t v1 = kPrime2;
+  std::uint64_t v2 = 0;
+  std::uint64_t v3 = 0 - kPrime1;
+  header = digest_round(header, arrays.size());
+  for (const ExecArray& a : arrays) {
+    header = digest_round(header, a.name.size());
+    // Names packed little-endian, eight bytes a word, whatever the host.
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < a.name.size(); ++i) {
+      word |= std::uint64_t{static_cast<unsigned char>(a.name[i])}
+              << (8 * (i % 8));
+      if (i % 8 == 7 || i + 1 == a.name.size()) {
+        header = digest_round(header, word);
+        word = 0;
+      }
+    }
+    header = digest_round(header, a.is_float ? 1 : 0);
+    header = digest_round(header, static_cast<std::uint64_t>(a.first));
+    header = digest_round(header, a.cells.size());
+    const std::uint64_t* cell = a.cells.data();
+    const std::size_t n = a.cells.size();
+    std::size_t c = 0;
+    for (; c + 4 <= n; c += 4) {
+      v0 = digest_round(v0, cell[c]);
+      v1 = digest_round(v1, cell[c + 1]);
+      v2 = digest_round(v2, cell[c + 2]);
+      v3 = digest_round(v3, cell[c + 3]);
+    }
+    if (c < n) v0 = digest_round(v0, cell[c++]);
+    if (c < n) v1 = digest_round(v1, cell[c++]);
+    if (c < n) v2 = digest_round(v2, cell[c]);
   }
-  return h.digest();
+  std::uint64_t h = header;
+  for (const std::uint64_t lane : {v0, v1, v2, v3}) h = digest_round(h, lane);
+  // Hasher64's digest of a state is murmur3's fmix64 of it.
+  return Hasher64(h).digest();
 }
 
 std::int64_t ExecMemory::total_cells() const {

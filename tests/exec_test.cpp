@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <limits>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -100,40 +104,228 @@ TEST(Executor, StencilRecurrenceMatchesReference) {
   }
 }
 
+TEST(Executor, PerGroupSpinLeavesMemoryAndCountsUnchanged) {
+  // With a per-group spin the interpreter stops after every issue group;
+  // without one it runs each iteration in one call. Both must leave the
+  // reference memory and the same sync counts.
+  const LoopExecutor executor(compile_one(kPaperExample));
+  ExecOptions options;
+  options.iterations = 100;
+  const ExecResult reference = executor.run_reference(options);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  for (const int threads : {1, 2, 4}) {
+    options.threads = threads;
+    options.spin_ns_per_group = 0;
+    const ExecResult plain = executor.run(options);
+    options.spin_ns_per_group = 1;
+    const ExecResult spun = executor.run(options);
+    ASSERT_TRUE(plain.ok()) << plain.status.to_string();
+    ASSERT_TRUE(spun.ok()) << spun.status.to_string();
+    EXPECT_EQ(spun.fingerprint, reference.fingerprint)
+        << "threads=" << threads << ": "
+        << ExecMemory::first_difference(spun.memory, reference.memory);
+    EXPECT_EQ(spun.stats.sends, plain.stats.sends) << "threads=" << threads;
+    EXPECT_EQ(spun.stats.waits, plain.stats.waits) << "threads=" << threads;
+    EXPECT_EQ(spun.stats.window, plain.stats.window) << "threads=" << threads;
+  }
+}
+
 TEST(Executor, HandComputedSemantics) {
-  // `I + I` is integer arithmetic converted to the real element type at
-  // the store; `I / 2` pins truncating integer division. Both arrays
-  // default to real, so the cells must hold exact small doubles.
+  // A and B default to real; C..G are int. `I + I` is integer
+  // arithmetic converted to real at the store; `I / 2` pins truncating
+  // integer division. `A[I] / 4` is real and truncates into int C; the
+  // products with 2^62 saturate into D and E; F is integer add and sub;
+  // G divides by zero, which is pinned to 0.
   const LoopReport report = compile_one(R"(
 doacross I = 1, 4
+  int C, D, E, F, G
   A[I] = I + I
   B[I] = I / 2
+  C[I] = A[I] / 4
+  D[I] = A[I] * (1 << 62)
+  E[I] = (0 - A[I]) * (1 << 62)
+  F[I] = I + 3 - I * 2
+  G[I] = I / (I - I) + 7
 end
 )");
   const LoopExecutor executor(report);
   ExecOptions options;
   options.iterations = 4;
+  const auto cell = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  const auto real = [](double v) { return exec_bits_of(v); };
+  for (const int threads : {0, 1, 2}) {  // 0: the serial reference
+    options.threads = threads;
+    const ExecResult result =
+        threads == 0 ? executor.run_reference(options) : executor.run(options);
+    ASSERT_TRUE(result.ok()) << result.status.to_string();
+    std::map<std::string, const ExecArray*> arrays;
+    for (const auto& arr : result.memory.arrays) arrays[arr.name] = &arr;
+    for (const char* name : {"A", "B", "C", "D", "E", "F", "G"}) {
+      ASSERT_EQ(arrays.count(name), 1u) << name;
+      ASSERT_EQ(arrays[name]->first, 1) << name;
+      ASSERT_EQ(arrays[name]->cells.size(), 4u) << name;
+    }
+    for (std::int64_t i = 1; i <= 4; ++i) {
+      const std::map<std::string, std::uint64_t> expected = {
+          {"A", real(static_cast<double>(2 * i))},
+          {"B", real(static_cast<double>(i / 2))},
+          {"C", cell(i / 2)},
+          {"D", cell(std::numeric_limits<std::int64_t>::max())},
+          {"E", cell(std::numeric_limits<std::int64_t>::min())},
+          {"F", cell(3 - i)},
+          {"G", cell(7)},
+      };
+      for (const auto& [name, bits] : expected)
+        EXPECT_EQ(arrays[name]->cells[static_cast<std::size_t>(i - 1)], bits)
+            << name << "[" << i << "] at threads=" << threads;
+    }
+  }
+}
+
+/// The paper example with one edit to its compiled TAC, run through the
+/// public constructor with the compiled schedule.
+template <class Edit>
+LoopExecutor mutated_paper_example(Edit&& edit) {
+  const LoopReport report = compile_one(kPaperExample);
+  TacFunction tac = report.tac;
+  edit(tac);
+  return LoopExecutor(report.loop, std::move(tac), report.schedule);
+}
+
+/// Runs at 1 and 2 workers and the serial reference; all three must
+/// fail with kInternal. Returns their messages.
+std::vector<std::string> expect_internal(const LoopExecutor& executor,
+                                         std::int64_t spin_ns_per_group = 0) {
+  std::vector<std::string> messages;
+  ExecOptions options;
+  options.iterations = 100;
+  options.spin_ns_per_group = spin_ns_per_group;
+  for (const int threads : {1, 2, 0}) {  // 0: the serial reference
+    options.threads = threads;
+    const ExecResult result =
+        threads == 0 ? executor.run_reference(options) : executor.run(options);
+    EXPECT_EQ(result.status.code, StatusCode::kInternal)
+        << "threads=" << threads << ": " << result.status.to_string();
+    messages.push_back(result.status.message);
+  }
+  return messages;
+}
+
+TEST(Executor, MalformedSyncPayloadIsATypedRefusal) {
+  // Unchecked, a distance-0 wait scheduled before its send waits on its
+  // own iteration and hangs the 1-worker run, and a negative signal
+  // statement indexes the send table and the SignalBoard out of bounds.
+  const auto edit_sync = [](Opcode op, auto&& change) {
+    return mutated_paper_example([&](TacFunction& tac) {
+      for (auto& instr : tac.instrs)
+        if (instr.op == op) {
+          change(instr, tac.size());
+          return;
+        }
+      FAIL() << "no sync instruction to mutate";
+    });
+  };
+  const struct {
+    const char* what;
+    Opcode op;
+    std::function<void(TacInstr&, int)> change;
+  } cases[] = {
+      {"signal statement", Opcode::kSend,
+       [](TacInstr& i, int) { i.signal_stmt = -1; }},
+      {"signal statement", Opcode::kSend,
+       [](TacInstr& i, int size) { i.signal_stmt = size + 1; }},
+      {"signal statement", Opcode::kWait,
+       [](TacInstr& i, int) {
+         i.signal_stmt = std::numeric_limits<int>::max();
+       }},
+      {"wait distance", Opcode::kWait,
+       [](TacInstr& i, int) { i.sync_distance = 0; }},
+      {"wait distance", Opcode::kWait,
+       [](TacInstr& i, int) { i.sync_distance = -3; }},
+  };
+  for (const auto& c : cases) {
+    const LoopExecutor executor = edit_sync(c.op, c.change);
+    ASSERT_TRUE(executor.setup_status().ok());
+    for (const std::string& message : expect_internal(executor))
+      EXPECT_NE(message.find(c.what), std::string::npos) << message;
+  }
+
+  // The largest legal signal statement is the instruction count: moving
+  // every sync instruction of the stream there changes nothing.
+  const LoopExecutor renamed = mutated_paper_example([](TacFunction& tac) {
+    for (auto& instr : tac.instrs)
+      if (instr.is_sync()) instr.signal_stmt = tac.size();
+  });
+  const LoopExecutor original(compile_one(kPaperExample));
+  ExecOptions options;
+  options.iterations = 100;
   options.threads = 2;
-  const ExecResult result = executor.run(options);
-  ASSERT_TRUE(result.ok()) << result.status.to_string();
-  const ExecArray* a = nullptr;
-  const ExecArray* b = nullptr;
-  for (const auto& arr : result.memory.arrays) {
-    if (arr.name == "A") a = &arr;
-    if (arr.name == "B") b = &arr;
-  }
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_EQ(a->first, 1);
-  ASSERT_EQ(a->cells.size(), 4u);
-  for (std::int64_t i = 1; i <= 4; ++i) {
-    EXPECT_EQ(a->cells[static_cast<std::size_t>(i - 1)],
-              exec_bits_of(static_cast<double>(2 * i)))
-        << "A[" << i << "]";
-    EXPECT_EQ(b->cells[static_cast<std::size_t>(i - 1)],
-              exec_bits_of(static_cast<double>(i / 2)))
-        << "B[" << i << "]";
-  }
+  const ExecResult moved = renamed.run(options);
+  const ExecResult expected = original.run(options);
+  ASSERT_TRUE(moved.ok()) << moved.status.to_string();
+  EXPECT_EQ(moved.fingerprint, expected.fingerprint);
+  EXPECT_EQ(moved.stats.sends, expected.stats.sends);
+  EXPECT_EQ(moved.stats.waits, expected.stats.waits);
+}
+
+TEST(Executor, RuntimeFaultIsTypedAndReleasesThePeer) {
+  // The paper example loads A[I-2] through `t2 = I - 2; t3 = 4 * t2`.
+  // Mutating that address computation makes the load fault; the
+  // planned extent of A stays [-1, 100], derived from the subscript.
+  const auto edit_address = [](bool misalign) {
+    return mutated_paper_example([misalign](TacFunction& tac) {
+      for (const auto& load : tac.instrs) {
+        if (load.op != Opcode::kLoad || load.array != "A" ||
+            load.mem_index.offset != -2)
+          continue;
+        for (auto& shl : tac.instrs) {
+          if (shl.dst != load.a.reg) continue;
+          ASSERT_EQ(shl.op, Opcode::kShl);
+          if (misalign) {
+            shl.b.imm = 0;  // the byte address loses its scaling
+            return;
+          }
+          for (auto& addi : tac.instrs) {
+            if (addi.dst != shl.a.reg) continue;
+            ASSERT_EQ(addi.op, Opcode::kAddI);
+            addi.b.imm -= 1;  // iteration 0 now reads A[-2]
+            return;
+          }
+        }
+      }
+      FAIL() << "address computation of A[I-2] not found";
+    });
+  };
+
+  // Only iteration 0 leaves the extent, so every engine reports the
+  // same fault; at 2 workers the peer parks on iteration 0's signal
+  // until the failing worker's halt() releases it.
+  const std::vector<std::string> outside =
+      expect_internal(edit_address(false));
+  ASSERT_EQ(outside.size(), 3u);
+  EXPECT_EQ(outside[0],
+            "runtime fault at instruction 5, iteration 0: A[-2] outside "
+            "planned extent [-1, 100]");
+  EXPECT_EQ(outside[1], outside[0]);
+  EXPECT_EQ(outside[2], outside[0]);
+  // The same fault when the run stops after every group to spin.
+  EXPECT_EQ(expect_internal(edit_address(false), 1), outside);
+
+  // Byte address I - 2 is misaligned at iteration 0 (and at most later
+  // ones, so at 2 workers either worker may report first).
+  const std::vector<std::string> misaligned =
+      expect_internal(edit_address(true));
+  ASSERT_EQ(misaligned.size(), 3u);
+  EXPECT_EQ(misaligned[0],
+            "runtime fault at instruction 5, iteration 0: misaligned byte "
+            "address -1");
+  EXPECT_EQ(misaligned[1].rfind("runtime fault at instruction 5, iteration ",
+                                0),
+            0u)
+      << misaligned[1];
+  EXPECT_NE(misaligned[1].find("misaligned byte address"), std::string::npos)
+      << misaligned[1];
+  EXPECT_EQ(misaligned[2], misaligned[0]);
 }
 
 TEST(Executor, DeterministicAcrossRepeatedRuns) {
@@ -344,6 +536,87 @@ TEST(ExecStatusCodes, AreTypedLikeTheServePath) {
   EXPECT_STREQ(status_code_name(StatusCode::kResource),
                "resource unavailable");
   EXPECT_EQ(static_cast<int>(kMaxStatusCode), 10);
+}
+
+// ---------------------------------------------------------------------
+// The memory digest: every cell bit and every layout field must reach
+// it, including changes a plain xor-multiply per word would cancel.
+
+ExecMemory digest_sample() {
+  ExecMemory m;
+  m.arrays.push_back({"A", true, -1,
+                      {exec_bits_of(1.5), exec_bits_of(-2.0), 0, 7, 8}});
+  m.arrays.push_back({"Bc", false, 3, {1, 2, 3, 4, 5, 6, 7}});
+  return m;
+}
+
+TEST(ExecMemoryDigest, PinnedValue) {
+  EXPECT_EQ(digest_sample().fingerprint(), 0x33a5fa531fa05e1cull);
+  EXPECT_EQ(ExecMemory{}.fingerprint(), 0xc04d5333396aaad3ull);
+}
+
+TEST(ExecMemoryDigest, EverySingleBitFlipChangesIt) {
+  const ExecMemory base = digest_sample();
+  const std::uint64_t digest = base.fingerprint();
+  for (std::size_t a = 0; a < base.arrays.size(); ++a)
+    for (std::size_t c = 0; c < base.arrays[a].cells.size(); ++c)
+      for (int bit = 0; bit < 64; ++bit) {
+        ExecMemory m = base;
+        m.arrays[a].cells[c] ^= std::uint64_t{1} << bit;
+        EXPECT_NE(m.fingerprint(), digest)
+            << "array " << a << " cell " << c << " bit " << bit;
+      }
+}
+
+TEST(ExecMemoryDigest, TwoSignFlipsDoNotCancel) {
+  const ExecMemory base = digest_sample();
+  const std::uint64_t digest = base.fingerprint();
+  std::vector<std::pair<std::size_t, std::size_t>> cells;
+  for (std::size_t a = 0; a < base.arrays.size(); ++a)
+    for (std::size_t c = 0; c < base.arrays[a].cells.size(); ++c)
+      cells.emplace_back(a, c);
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  for (std::size_t x = 0; x < cells.size(); ++x)
+    for (std::size_t y = x + 1; y < cells.size(); ++y) {
+      ExecMemory m = base;
+      m.arrays[cells[x].first].cells[cells[x].second] ^= kSign;
+      m.arrays[cells[y].first].cells[cells[y].second] ^= kSign;
+      EXPECT_NE(m.fingerprint(), digest) << "cells " << x << " and " << y;
+    }
+}
+
+TEST(ExecMemoryDigest, SwappingAdjacentCellsChangesIt) {
+  const ExecMemory base = digest_sample();
+  const std::uint64_t digest = base.fingerprint();
+  for (std::size_t a = 0; a < base.arrays.size(); ++a)
+    for (std::size_t c = 0; c + 1 < base.arrays[a].cells.size(); ++c) {
+      ExecMemory m = base;
+      std::swap(m.arrays[a].cells[c], m.arrays[a].cells[c + 1]);
+      EXPECT_NE(m.fingerprint(), digest) << "array " << a << " cell " << c;
+    }
+}
+
+TEST(ExecMemoryDigest, LayoutFieldsChangeIt) {
+  const ExecMemory base = digest_sample();
+  const std::uint64_t digest = base.fingerprint();
+  for (std::size_t a = 0; a < base.arrays.size(); ++a) {
+    ExecMemory first = base;
+    first.arrays[a].first += 1;
+    EXPECT_NE(first.fingerprint(), digest) << "first of array " << a;
+    ExecMemory name = base;
+    name.arrays[a].name.back() ^= 1;
+    EXPECT_NE(name.fingerprint(), digest) << "name of array " << a;
+    ExecMemory type = base;
+    type.arrays[a].is_float = !type.arrays[a].is_float;
+    EXPECT_NE(type.fingerprint(), digest) << "is_float of array " << a;
+  }
+  // A cell moved across the array boundary keeps the cell stream.
+  ExecMemory moved = base;
+  moved.arrays[1].cells.insert(moved.arrays[1].cells.begin(),
+                               moved.arrays[0].cells.back());
+  moved.arrays[0].cells.pop_back();
+  moved.arrays[1].first -= 1;
+  EXPECT_NE(moved.fingerprint(), digest);
 }
 
 // ---------------------------------------------------------------------
