@@ -12,9 +12,11 @@
 //   bench_archsweep --grid "issue=2,4 buf=0,4" --json BENCH_archsweep.json
 //   bench_archsweep --check [BENCH_compile.json]
 //                       # CI mode: the 4-point paper grid; fails on empty
-//                       # or non-finite metrics, or when the 4-issue(#FU=2)
-//                       # point's corpus fingerprint drifts from the one
-//                       # recorded in BENCH_compile.json
+//                       # or non-finite metrics, when a machine's corpus
+//                       # parallel time (T_b) rises above the one recorded
+//                       # in BENCH_compile.json, or when the 4-issue(#FU=2)
+//                       # point's corpus fingerprint drifts from the
+//                       # recorded one
 //
 // Grid spec: whitespace-separated axes `name=v1,v2,...` over the default
 // machine; every axis multiplies the grid. Axes: issue (width), fu
@@ -266,8 +268,10 @@ void print_table(const MachineMetrics& baseline,
 }
 
 /// CI smoke: the paper's four machines must produce non-empty, finite
-/// metrics, and the machine bench_micro fingerprints (4-issue, #FU=2)
-/// must reproduce the fingerprint recorded in BENCH_compile.json.
+/// metrics, none of their corpus parallel times (the paper's T_b) may
+/// exceed the one recorded in BENCH_compile.json, and the machine
+/// bench_micro fingerprints (4-issue, #FU=2) must reproduce the
+/// recorded fingerprint.
 int check_sweep(const std::vector<MachineMetrics>& points,
                 const std::string& compile_json_path) {
   std::ifstream in(compile_json_path);
@@ -298,6 +302,23 @@ int check_sweep(const std::vector<MachineMetrics>& points,
       std::fprintf(stderr, "BAD METRICS: %s ipc=%f total=%" PRId64 "\n",
                    label.c_str(), m.ipc, m.total_parallel_time);
       failed = true;
+    }
+    for (const auto& c : bench::kPaperCases) {
+      if (!(m.machine == machines::paper(c.issue_width, c.fus))) continue;
+      const std::string key = bench::paper_machine_key(c.issue_width, c.fus);
+      std::string recorded;
+      if (!bench::json_phase_field(json, "corpus_parallel_time", key,
+                                   &recorded)) {
+        std::fprintf(stderr, "%s records no corpus_parallel_time for %s\n",
+                     compile_json_path.c_str(), key.c_str());
+        failed = true;
+      } else if (m.total_parallel_time > std::atoll(recorded.c_str())) {
+        std::fprintf(stderr,
+                     "T_b ROSE: %s corpus parallel time %" PRId64
+                     " > recorded %s\n",
+                     label.c_str(), m.total_parallel_time, recorded.c_str());
+        failed = true;
+      }
     }
     if (m.machine == pinned) {
       pinned_point_seen = true;

@@ -319,8 +319,17 @@ struct CompilePerf {
   double l1_hit_rate = 0.0;
   std::uint64_t allocs_per_compile = 0;  ///< 0 when no interposer
   std::string schedule_fingerprint;      ///< 16 hex chars
-  std::vector<PhasePerf> phases;         ///< traced pass, pipeline order
+  /// The paper's T_b per machine: the corpus's summed parallel time on
+  /// each kPaperCases machine ("2x1", ...) at 100 iterations, the guard
+  /// included. bench_archsweep --check fails when one of them rises.
+  std::vector<std::pair<std::string, std::int64_t>> corpus_parallel_time;
+  std::vector<PhasePerf> phases;  ///< traced pass, pipeline order
 };
+
+/// The key of a paper machine in "corpus_parallel_time": "2x1", ...
+inline std::string paper_machine_key(int issue_width, int fus) {
+  return std::to_string(issue_width) + "x" + std::to_string(fus);
+}
 
 inline std::int64_t percentile_ns(std::vector<std::int64_t>& samples,
                                   double p) {
@@ -352,6 +361,15 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   perf.schedule_fingerprint = fingerprint_corpus(&corpus, options);
   perf.corpus_loops = static_cast<int>(corpus.size());
   perf.reps = reps;
+  for (const MachineCase& c : kPaperCases) {
+    PipelineOptions paper = options;
+    paper.machine = machines::paper(c.issue_width, c.fus);
+    std::int64_t total = 0;
+    for (const auto& target : corpus)
+      total += compile({target.loop, paper}).report.parallel_time();
+    perf.corpus_parallel_time.emplace_back(
+        paper_machine_key(c.issue_width, c.fus), total);
+  }
 
   // Single-thread per-loop latency distribution. Requests are built
   // outside the timed region: the facade copies the loop into the
@@ -488,13 +506,14 @@ inline CompilePerf run_compile_perf(int reps = 7) {
 /// {1, 2, 4, 8, 16} sweep; v4 adds "fallback_skip_rate" (fraction of
 /// compiles whose never-degrade fallback simulation the list bound
 /// skipped) and "l1_hit_rate" (cache hits served by the thread-local
-/// L1). The check-mode reader scans scalar fields by key, so older
-/// files remain checkable against a v4 binary and vice versa.
+/// L1); v5 adds "corpus_parallel_time" (T_b per paper machine, which
+/// bench_archsweep --check holds). The check-mode readers scan fields
+/// by key, so bench_micro --check reads any of these versions.
 inline std::string compile_perf_to_json(const CompilePerf& perf) {
   std::string out;
   appendf(out,
           "{\n"
-          "  \"schema\": \"sbmp-bench-compile-v4\",\n"
+          "  \"schema\": \"sbmp-bench-compile-v5\",\n"
           "  \"corpus_loops\": %d,\n"
           "  \"reps\": %d,\n"
           "  \"compile_ns\": {\"p50\": %lld, \"p99\": %lld},\n"
@@ -515,12 +534,18 @@ inline std::string compile_perf_to_json(const CompilePerf& perf) {
           "  \"l1_hit_rate\": %.3f,\n"
           "  \"allocs_per_compile\": %llu,\n"
           "  \"schedule_fingerprint\": \"%s\",\n"
-          "  \"phase_ns\": {",
+          "  \"corpus_parallel_time\": {",
           static_cast<long long>(perf.cache_hit_p50_ns),
           static_cast<long long>(perf.cache_hit_p99_ns),
           perf.fallback_skip_rate, perf.l1_hit_rate,
           static_cast<unsigned long long>(perf.allocs_per_compile),
           perf.schedule_fingerprint.c_str());
+  for (std::size_t i = 0; i < perf.corpus_parallel_time.size(); ++i) {
+    appendf(out, "%s\"%s\": %lld", i == 0 ? "" : ", ",
+            perf.corpus_parallel_time[i].first.c_str(),
+            static_cast<long long>(perf.corpus_parallel_time[i].second));
+  }
+  appendf(out, "},\n  \"phase_ns\": {");
   for (std::size_t i = 0; i < perf.phases.size(); ++i) {
     appendf(out, "%s\n    \"%s\": {\"p50\": %lld, \"p99\": %lld}",
             i == 0 ? "" : ",", perf.phases[i].phase.c_str(),

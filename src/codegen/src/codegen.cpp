@@ -52,16 +52,18 @@ class CodeGenerator {
         instr.op = Opcode::kSend;
         instr.stmt_id = stmt.id;
         instr.signal_stmt = stmt.id;
-        instr.guarded_instrs =
-            find_accesses(stmt.id, send.src_ref, send.src_is_write);
+        for (const SyncAccess& src : send.srcs)
+          append_accesses(stmt.id, src.ref, src.is_write,
+                          instr.guarded_instrs);
         emit(std::move(instr));
       }
     }
     // Waits were emitted before their sink statement's accesses existed;
     // resolve the guarded instructions now.
     for (const auto& [wait_id, wait] : pending_waits_) {
-      fn_.instrs[static_cast<std::size_t>(wait_id - 1)].guarded_instrs =
-          find_accesses(wait.sink_stmt, wait.sink_ref, wait.sink_is_write);
+      append_accesses(
+          wait.sink_stmt, wait.sink_ref, wait.sink_is_write,
+          fn_.instrs[static_cast<std::size_t>(wait_id - 1)].guarded_instrs);
     }
     return std::move(fn_);
   }
@@ -271,16 +273,16 @@ class CodeGenerator {
     accesses_.push_back({stmt.id, stmt.lhs.array, stmt.lhs.index, true, id});
   }
 
-  std::vector<int> find_accesses(int stmt_id, const ArrayRef& ref,
-                                 bool is_write) const {
-    std::vector<int> out;
+  /// Appends to `out` every access instruction of statement `stmt_id`
+  /// that touches `ref` (a store when `is_write`, else a load).
+  void append_accesses(int stmt_id, const ArrayRef& ref, bool is_write,
+                       std::vector<int>& out) const {
     for (const auto& acc : accesses_) {
       if (acc.stmt == stmt_id && acc.is_write == is_write &&
           acc.array == ref.array && acc.index == ref.index) {
         out.push_back(acc.instr);
       }
     }
-    return out;
   }
 
   struct AccessRec {

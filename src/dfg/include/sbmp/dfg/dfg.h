@@ -123,6 +123,16 @@ class Dfg {
   /// nothing once warm.
   void sync_path(const SyncPair& pair, std::vector<int>& out) const;
 
+  /// Function-unit class of an instruction (FuClass::kNone for none).
+  [[nodiscard]] FuClass fu_class(int id) const {
+    return static_cast<FuClass>(unit_[static_cast<std::size_t>(id)] &
+                                ~kSyncBit);
+  }
+  /// True for Wait_Signal and Send_Signal.
+  [[nodiscard]] bool is_sync(int id) const {
+    return (unit_[static_cast<std::size_t>(id)] & kSyncBit) != 0;
+  }
+
   /// Critical-path height of each instruction (max latency-weighted path
   /// length to any leaf), the classic list-scheduling priority.
   /// Precomputed at construction; indexed by instruction id.
@@ -143,6 +153,10 @@ class Dfg {
   std::vector<DfgEdge> pred_edges_;
   std::vector<SyncPair> pairs_;
   // SoA node attributes, indexed by instruction id.
+  static constexpr std::uint8_t kSyncBit = 0x80;
+  /// FuClass, | kSyncBit for sync operations: what the slot fillers ask
+  /// on every placement, kept here so they never touch the TAC.
+  std::vector<std::uint8_t> unit_;
   std::vector<std::uint8_t> free_;
   std::vector<int> component_;
   std::vector<int> height_;

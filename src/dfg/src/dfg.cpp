@@ -57,10 +57,13 @@ Dfg::Dfg(const TacFunction& tac, const MachineDesc& config) {
   // precisely the historical insertion order (schedulers depend on it).
   std::size_t mem_count = 0;
   std::size_t sync_count = 0;
+  unit_.assign(static_cast<std::size_t>(n_) + 1, 0);
   for (const auto& instr : tac.instrs) {
     if (instr.is_mem()) ++mem_count;
     if (instr.op == Opcode::kWait || instr.op == Opcode::kSend)
       sync_count += instr.guarded_instrs.size();
+    unit_[static_cast<std::size_t>(instr.id)] = static_cast<std::uint8_t>(
+        static_cast<int>(instr.fu()) | (instr.is_sync() ? kSyncBit : 0));
   }
   const std::size_t raw_cap =
       2 * static_cast<std::size_t>(n_) +

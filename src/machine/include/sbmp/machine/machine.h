@@ -53,8 +53,31 @@ inline constexpr int kNumOpcodes = 11;
 /// The function unit an instruction executes on. `is_float` selects the
 /// floating-point adder for kAdd/kSub; multiply, divide and shift use
 /// their dedicated units regardless of element type, matching the
-/// paper's unit list.
-[[nodiscard]] FuClass fu_class_of(Opcode op, bool is_float);
+/// paper's unit list. Inline: the slot fillers and the DFG ask it once
+/// per instruction on every compile.
+[[nodiscard]] inline FuClass fu_class_of(Opcode op, bool is_float) {
+  switch (op) {
+    case Opcode::kAddI:
+      return FuClass::kInteger;
+    case Opcode::kMulI:
+    case Opcode::kMul:
+      return FuClass::kMult;
+    case Opcode::kShl:
+      return FuClass::kShift;
+    case Opcode::kLoad:
+    case Opcode::kStore:
+      return FuClass::kLoadStore;
+    case Opcode::kAdd:
+    case Opcode::kSub:
+      return is_float ? FuClass::kFloat : FuClass::kInteger;
+    case Opcode::kDiv:
+      return FuClass::kDiv;
+    case Opcode::kWait:
+    case Opcode::kSend:
+      return FuClass::kNone;
+  }
+  return FuClass::kNone;
+}
 
 /// The paper's result-latency table: every unit is fully pipelined,
 /// multiplies take 3 cycles, divides 6, and everything else (including

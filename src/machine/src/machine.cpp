@@ -111,30 +111,6 @@ const char* opcode_name(Opcode op) {
   return "?";
 }
 
-FuClass fu_class_of(Opcode op, bool is_float) {
-  switch (op) {
-    case Opcode::kAddI:
-      return FuClass::kInteger;
-    case Opcode::kMulI:
-    case Opcode::kMul:
-      return FuClass::kMult;
-    case Opcode::kShl:
-      return FuClass::kShift;
-    case Opcode::kLoad:
-    case Opcode::kStore:
-      return FuClass::kLoadStore;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-      return is_float ? FuClass::kFloat : FuClass::kInteger;
-    case Opcode::kDiv:
-      return FuClass::kDiv;
-    case Opcode::kWait:
-    case Opcode::kSend:
-      return FuClass::kNone;
-  }
-  return FuClass::kNone;
-}
-
 int MachineDesc::min_latency() const {
   return *std::min_element(latencies.begin(), latencies.end());
 }

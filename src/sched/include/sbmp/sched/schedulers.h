@@ -66,25 +66,33 @@ enum class SchedulerKind {
 /// Ablation switches for the sync-aware scheduler (all on reproduces the
 /// paper's technique).
 struct SyncAwareOptions {
-  /// Schedule the nodes of each synchronization path in consecutive
-  /// issue groups (Section 3.2's scheduling rule). Off: Sigwat
-  /// components fall back to ASAP order.
+  /// Rule 2: schedule the nodes of each synchronization path in
+  /// consecutive issue groups (Section 3.2's scheduling rule), the wait
+  /// in the latest slot that still lets the path reach its send at the
+  /// send's earliest slot. Off: Sigwat components fall back to ASAP
+  /// order.
   bool contiguous_paths = true;
-  /// Convert Sig-graph and Wat-graph pairs into LFD by placing sends
-  /// before / waits after their counterpart (Section 3.2). Off: those
+  /// Rule 1: convert every convertible pair (no DFG path from its wait to
+  /// its send) into LFD by holding the wait at least the signal latency
+  /// after the send, whatever graphs the two live in (Section 3.2's
+  /// Sig/Wat rule). Off: no wait is held after its send, and Sig
   /// components are scheduled like plain ones.
   bool convert_lfd = true;
 };
 
-/// The paper's synchronization-aware scheduler:
-///  1. Sigwat components first, in descending (n/d)*|SP| priority; inside
-///     each, synchronization paths are placed in consecutive groups
-///     (overlapping paths merged and scheduled together), ancestors
-///     filled ASAP into spare lanes, then the remaining component nodes;
-///  2. Sig components ASAP, putting each Send_Signal before its paired
-///     Wait_Signal;
-///  3. Wat components with each Wait_Signal constrained after its paired
-///     Send_Signal;
+/// The paper's synchronization-aware scheduler. Rule 1 adds a send ->
+/// wait arc of the machine's signal latency for every convertible pair
+/// (accepted by ascending distance; one that would close a cycle with
+/// the arcs already accepted is left LBD, the only way a convertible
+/// pair stays LBD). Every placement honours the arcs. Then:
+///  1. Sigwat components holding a synchronization path, in descending
+///     (n/d)*|SP| priority; inside each, paths are placed in consecutive
+///     groups (overlapping paths merged and scheduled together, upstream
+///     paths first), each wait as late as rule 2 allows, ancestors filled
+///     ASAP into spare lanes, then the remaining component nodes; the
+///     other Sigwat components follow ASAP;
+///  2. Sig components ASAP, so sends land early;
+///  3. Wat components ASAP, each wait held after its send by its arc;
 ///  4. remaining plain components ASAP into the holes.
 /// `n_iterations` enters the priority (n/d)*|SP| of step 1.
 [[nodiscard]] Schedule schedule_sync_aware(const TacFunction& tac,

@@ -6,32 +6,41 @@ namespace sbmp {
 
 namespace {
 
-std::vector<int> find_accesses(const TacFunction& tac, int stmt,
-                               const ArrayRef& ref, bool is_write) {
-  std::vector<int> out;
+/// Calls `visit(id)` for every instruction of statement `stmt` that
+/// accesses `ref` (a store when `is_write`, else a load) and returns how
+/// many there were.
+template <typename Visit>
+int for_each_access(const TacFunction& tac, int stmt, const ArrayRef& ref,
+                    bool is_write, Visit visit) {
+  int found = 0;
   for (const auto& instr : tac.instrs) {
     if (instr.stmt_id != stmt || !instr.is_mem()) continue;
     const bool write = instr.op == Opcode::kStore;
     if (write != is_write) continue;
-    if (instr.array == ref.array && instr.mem_index == ref.index)
-      out.push_back(instr.id);
+    if (instr.array == ref.array && instr.mem_index == ref.index) {
+      visit(instr.id);
+      ++found;
+    }
   }
-  return out;
+  return found;
 }
 
-/// The wait instruction realizing `op`, or 0 when absent.
-int wait_instr_of(const TacFunction& tac, const WaitOp& op) {
+/// The wait instruction on stream `signal_stmt` at `distance` placed
+/// before `sink_stmt`, or 0 when absent.
+int wait_instr_of(const TacFunction& tac, int signal_stmt,
+                  std::int64_t distance, int sink_stmt) {
   for (const auto& instr : tac.instrs) {
-    if (instr.op == Opcode::kWait && instr.signal_stmt == op.signal_stmt &&
-        instr.sync_distance == op.distance && instr.stmt_id == op.sink_stmt)
+    if (instr.op == Opcode::kWait && instr.signal_stmt == signal_stmt &&
+        instr.sync_distance == distance && instr.stmt_id == sink_stmt)
       return instr.id;
   }
   return 0;
 }
 
-int send_instr_of(const TacFunction& tac, const SendOp& op) {
+/// The send instruction of stream `signal_stmt`, or 0 when absent.
+int send_instr_of(const TacFunction& tac, int signal_stmt) {
   for (const auto& instr : tac.instrs) {
-    if (instr.op == Opcode::kSend && instr.signal_stmt == op.signal_stmt)
+    if (instr.op == Opcode::kSend && instr.signal_stmt == signal_stmt)
       return instr.id;
   }
   return 0;
@@ -129,55 +138,53 @@ std::vector<std::string> verify_sync_conditions(const TacFunction& tac,
   const auto complain = [&](std::string msg) {
     violations.push_back(std::move(msg));
   };
-
-  // Condition 1: the signal is sent only after its source access issued.
-  for (const auto& send : synced.sends) {
-    const int send_id = send_instr_of(tac, send);
-    if (send_id == 0) continue;  // pairing's concern
-    const std::vector<int> srcs =
-        find_accesses(tac, send.signal_stmt, send.src_ref, send.src_is_write);
-    if (srcs.empty()) {
-      complain("send instr " + std::to_string(send_id) +
-               ": source access " + send.src_ref.array + "[" +
-               send.src_ref.index.to_string(synced.loop.iter_var) +
-               "] of S" + std::to_string(send.signal_stmt) +
-               " not found in the code");
-      continue;
+  // Every dependence is checked against its own source and sink
+  // accesses, not the one the sync layer chose to guard, so a send or a
+  // merged wait that leaves some dependence's access unguarded is caught.
+  const auto not_found = [&](const std::string& what, const ArrayRef& ref,
+                             int stmt) {
+    complain(what + " access " + ref.array + "[" +
+             ref.index.to_string(synced.loop.iter_var) + "] of S" +
+             std::to_string(stmt) + " not found in the code");
+  };
+  for (const auto& dep : synced.synced) {
+    // Condition 1: the signal is sent only after the source access issued.
+    const int send_id = send_instr_of(tac, dep.src_stmt);
+    if (send_id != 0) {  // a missing send is pairing's concern
+      const int found = for_each_access(
+          tac, dep.src_stmt, dep.src_ref, dep.kind != DepKind::kAnti,
+          [&](int src) {
+            if (schedule.slot(send_id) < schedule.slot(src) + 1)
+              complain("sync condition 1 violated: send instr " +
+                       std::to_string(send_id) + " (slot " +
+                       std::to_string(schedule.slot(send_id)) +
+                       ") does not follow its source access instr " +
+                       std::to_string(src) + " (slot " +
+                       std::to_string(schedule.slot(src)) + ")");
+          });
+      if (found == 0)
+        not_found("send instr " + std::to_string(send_id) + ": source",
+                  dep.src_ref, dep.src_stmt);
     }
-    for (const int src : srcs) {
-      if (schedule.slot(send_id) < schedule.slot(src) + 1)
-        complain("sync condition 1 violated: send instr " +
-                 std::to_string(send_id) + " (slot " +
-                 std::to_string(schedule.slot(send_id)) +
-                 ") does not follow its source access instr " +
-                 std::to_string(src) + " (slot " +
-                 std::to_string(schedule.slot(src)) + ")");
-    }
-  }
 
-  // Condition 2: the sink access issues only after its wait issued.
-  for (const auto& wait : synced.waits) {
-    const int wait_id = wait_instr_of(tac, wait);
+    // Condition 2: the sink access issues only after its wait issued.
+    const int wait_id =
+        wait_instr_of(tac, dep.src_stmt, dep.distance, dep.snk_stmt);
     if (wait_id == 0) continue;  // eliminated or missing (pairing's concern)
-    const std::vector<int> snks =
-        find_accesses(tac, wait.sink_stmt, wait.sink_ref, wait.sink_is_write);
-    if (snks.empty()) {
-      complain("wait instr " + std::to_string(wait_id) + ": sink access " +
-               wait.sink_ref.array + "[" +
-               wait.sink_ref.index.to_string(synced.loop.iter_var) +
-               "] of S" + std::to_string(wait.sink_stmt) +
-               " not found in the code");
-      continue;
-    }
-    for (const int snk : snks) {
-      if (schedule.slot(snk) < schedule.slot(wait_id) + 1)
-        complain("sync condition 2 violated: sink access instr " +
-                 std::to_string(snk) + " (slot " +
-                 std::to_string(schedule.slot(snk)) +
-                 ") does not follow its wait instr " +
-                 std::to_string(wait_id) + " (slot " +
-                 std::to_string(schedule.slot(wait_id)) + ")");
-    }
+    const int found = for_each_access(
+        tac, dep.snk_stmt, dep.snk_ref, dep.kind != DepKind::kFlow,
+        [&](int snk) {
+          if (schedule.slot(snk) < schedule.slot(wait_id) + 1)
+            complain("sync condition 2 violated: sink access instr " +
+                     std::to_string(snk) + " (slot " +
+                     std::to_string(schedule.slot(snk)) +
+                     ") does not follow its wait instr " +
+                     std::to_string(wait_id) + " (slot " +
+                     std::to_string(schedule.slot(wait_id)) + ")");
+        });
+    if (found == 0)
+      not_found("wait instr " + std::to_string(wait_id) + ": sink",
+                dep.snk_ref, dep.snk_stmt);
   }
   return violations;
 }

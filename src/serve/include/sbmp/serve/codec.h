@@ -31,7 +31,7 @@ namespace sbmp {
 /// pipeline stage whose output the cache persists (scheduler, simulator,
 /// sync insertion). A bump orphans old entries (they miss on the
 /// fingerprint), which is exactly the desired invalidation.
-inline constexpr std::int64_t kScheduleCacheFormatVersion = 1;
+inline constexpr std::int64_t kScheduleCacheFormatVersion = 2;
 
 /// Content address of a (loop, options) compile: a 128-bit fingerprint
 /// over the canonical LoopLang rendering of `loop`, every

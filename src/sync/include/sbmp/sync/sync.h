@@ -22,14 +22,26 @@ struct WaitOp {
   [[nodiscard]] std::string to_string(const std::string& iter_var) const;
 };
 
+/// One memory access of a statement, as a send guards it.
+struct SyncAccess {
+  ArrayRef ref;
+  bool is_write = true;
+
+  friend bool operator==(const SyncAccess&, const SyncAccess&) = default;
+};
+
 /// One `Send_Signal(S)` operation, placed immediately after its source
 /// statement. A single send serves every dependence sourced at that
 /// statement (the paper's Fig 1(b) emits one Send_Signal(S3) for two
 /// dependences).
 struct SendOp {
   int signal_stmt = 0;  ///< Statement this send is placed after (== S).
-  ArrayRef src_ref;     ///< A guarded source access in that statement.
-  bool src_is_write = true;  ///< False when only anti deps are sourced.
+  /// The source accesses the send must follow, covering every dependence
+  /// sourced at S: the statement's write when S sources a flow or output
+  /// dependence (the store consumes every load of its statement, so it
+  /// issues after all of them), otherwise each distinct read that
+  /// sources an anti dependence.
+  std::vector<SyncAccess> srcs;
 
   [[nodiscard]] std::string to_string() const;
 };

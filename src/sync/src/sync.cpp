@@ -83,20 +83,22 @@ SyncedLoop insert_synchronization(const Loop& loop,
               return a.signal_stmt < b.signal_stmt;
             });
 
-  // One send per source statement.
+  // One send per source statement. It follows the statement's write when
+  // any dependence is write-sourced (the write executes last, so a send
+  // after it covers the reads too); otherwise it follows every distinct
+  // anti-source read, since guarding one read would let the send issue
+  // before another.
   std::map<int, SendOp> sends;
   for (const auto& dep : out.synced) {
-    auto [it, inserted] = sends.try_emplace(dep.src_stmt);
-    if (inserted) {
-      it->second.signal_stmt = dep.src_stmt;
-      it->second.src_ref = dep.src_ref;
-      it->second.src_is_write = dep.kind != DepKind::kAnti;
-    } else if (dep.kind != DepKind::kAnti && !it->second.src_is_write) {
-      // Prefer guarding the write when both read- and write-sourced
-      // dependences share the statement: the write executes last, so a
-      // send after it covers both.
-      it->second.src_ref = dep.src_ref;
-      it->second.src_is_write = true;
+    SendOp& send = sends[dep.src_stmt];
+    send.signal_stmt = dep.src_stmt;
+    const SyncAccess access{dep.src_ref, dep.kind != DepKind::kAnti};
+    if (send.srcs.empty() || (access.is_write && !send.srcs[0].is_write)) {
+      send.srcs.assign(1, access);
+    } else if (!send.srcs[0].is_write &&
+               std::find(send.srcs.begin(), send.srcs.end(), access) ==
+                   send.srcs.end()) {
+      send.srcs.push_back(access);
     }
   }
   for (auto& [stmt, send] : sends) out.sends.push_back(std::move(send));

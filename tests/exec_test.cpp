@@ -7,6 +7,7 @@
 // (the differential sweep scales with SBMP_FUZZ_SEEDS).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <limits>
@@ -624,6 +625,74 @@ TEST(ExecMemoryDigest, LayoutFieldsChangeIt) {
 // compile pipeline accepts — the same corpus the simulator fuzz runs on
 // — must execute on live threads with results byte-identical to the
 // serial interpretation, at several thread counts.
+
+TEST(ExecGuard, SendsFollowEveryAntiSourceReadLive) {
+  // Loops 1 and 48 of ExecFuzz each have a statement that sources anti
+  // dependences through two different reads and none through its write.
+  // A send guarding only one of the loads may issue before the other, and
+  // a later iteration then overwrites the cell before it is read: loop 48
+  // diverged at 8 threads, loop 1 at 3. Both must stay byte-identical at
+  // every thread count, run after run.
+  struct Case {
+    const char* source;
+    MachineDesc machine;
+  };
+  const Case cases[] = {
+      {R"(
+doacross I = 1, 50
+  A1[I] = (A1[I-3]+X2[I-3])
+  A2[I] = (A3[I-1]+A7[I-2])
+  A3[I] = (((X2[I]+c4)+A7[I-1])+A4[I+1])
+  A4[I] = (((X4[I+1]-X1[I])/A4[I+3])-A6[I+2])
+  A5[I] = (X4[I-2]/3)
+  A6[I] = (((A7[I-1]*A7[I-2])+4)+c1)
+  A7[I] = (((5-A7[I-2])-X3[I+1])+A7[I-2])
+end
+)",
+       machines::paper(4, 2)},
+      {R"(
+doacross I = 1, 50
+  A1[I] = (((X4[I+1]-A2[I+3])-c2)*A1[I-2])
+  A2[I] = (((A4[I+1]+A3[I-1])-1)/A4[I+2])
+  A3[I] = (c4+A3[I-3])
+  A4[I] = (((A3[I+3]*X4[I-3])*A4[I-2])+c1)
+end
+)",
+       machines::paper(2, 1)},
+  };
+  for (const Case& c : cases) {
+    PipelineOptions options;
+    options.machine = c.machine;
+    options.iterations = 50;
+    const LoopReport report =
+        run_pipeline(parse_single_loop_or_throw(c.source), options);
+    ASSERT_TRUE(report.status.ok()) << report.status.to_string();
+    const bool two_reads = std::any_of(
+        report.tac.instrs.begin(), report.tac.instrs.end(),
+        [&](const TacInstr& i) {
+          return i.op == Opcode::kSend && i.guarded_instrs.size() == 2 &&
+                 report.tac.by_id(i.guarded_instrs[0]).op == Opcode::kLoad &&
+                 report.tac.by_id(i.guarded_instrs[1]).op == Opcode::kLoad;
+        });
+    ASSERT_TRUE(two_reads) << c.source;
+    const LoopExecutor executor(report);
+    ASSERT_TRUE(executor.setup_status().ok());
+    ExecOptions exec_options;
+    exec_options.iterations = 50;
+    const ExecResult reference = executor.run_reference(exec_options);
+    ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+    for (int threads = 2; threads <= 8; ++threads) {
+      exec_options.threads = threads;
+      for (int run = 0; run < 8; ++run) {
+        const ExecResult result = executor.run(exec_options);
+        ASSERT_TRUE(result.ok()) << result.status.to_string();
+        ASSERT_EQ(result.fingerprint, reference.fingerprint)
+            << "threads=" << threads << " run " << run << c.source
+            << ExecMemory::first_difference(result.memory, reference.memory);
+      }
+    }
+  }
+}
 
 class ExecFuzz : public ::testing::TestWithParam<int> {};
 

@@ -324,7 +324,7 @@ TEST(PipelineObservability, BenchMachineCorpusFingerprintIsPinned) {
   PipelineOptions options;
   options.machine = machines::paper(4, 2);
   options.iterations = 100;
-  EXPECT_EQ(bench::fingerprint_corpus(&corpus, options), "3c390871903d0914");
+  EXPECT_EQ(bench::fingerprint_corpus(&corpus, options), "864ec833f36d5ba7");
 }
 
 #ifdef SBMP_BENCH_JSON_PATH

@@ -476,13 +476,14 @@ TEST(Simulator, FastForwardFoldsPeriodTwoAndBoundedBufferSteadyStates) {
     MachineDesc machine;
   };
   std::vector<Case> cases;
-  // A corpus unit whose rows alternate between two steps.
+  // A corpus unit whose rows alternate between two steps: its binding
+  // LBD pair has distance 2.
   PipelineOptions paper;
   paper.machine = machines::paper(4, 2);
   for (const auto& benchmark : perfect_suite()) {
     for (const auto& loop : benchmark.program().loops) {
-      if (loop.name == "adm_photolysis")
-        cases.push_back({"ADM/adm_photolysis on 4x2",
+      if (loop.name == "track_update")
+        cases.push_back({"TRACK/track_update on 4x2",
                          run_pipeline(loop, paper), paper.machine});
     }
   }
@@ -492,12 +493,12 @@ TEST(Simulator, FastForwardFoldsPeriodTwoAndBoundedBufferSteadyStates) {
   shape.min_stmts = 6;
   shape.max_stmts = 16;
   shape.trip = 2000;
-  SplitMix64 rng(2);
+  SplitMix64 rng(1);
   PipelineOptions buffered;
   buffered.machine = machines::paper(4, 2);
   buffered.machine.signal_buffer_depth = 2;
   buffered.iterations = 2000;
-  cases.push_back({"random loop of seed 2 on 4x2 buf=2",
+  cases.push_back({"random loop of seed 1 on 4x2 buf=2",
                    run_pipeline(generate_random_loop(rng, shape), buffered),
                    buffered.machine});
   ASSERT_EQ(cases.size(), 2u);

@@ -71,6 +71,54 @@ TEST(ValidatePipeline, HoistedSendViolatesCondition1) {
       << (violations.empty() ? "no violations" : violations.front());
 }
 
+TEST(ValidatePipeline, SendHoistedAboveSecondAntiSourceReadIsCaught) {
+  // S2 sources anti dependences through two reads of A4, so its send
+  // guards both loads. Hoisting the send into the group of the later
+  // load keeps it after the earlier one; condition 1 must still fail,
+  // naming the later load.
+  const Loop loop = parse_single_loop_or_throw(R"(
+doacross I = 1, 100
+  A1[I] = (((X4[I+1]-A2[I+3])-c2)*A1[I-2])
+  A2[I] = (((A4[I+1]+A3[I-1])-1)/A4[I+2])
+  A3[I] = (c4+A3[I-3])
+  A4[I] = (((A3[I+3]*X4[I-3])*A4[I-2])+c1)
+end
+)");
+  PipelineOptions options = paper_options();
+  options.machine = machines::paper(2, 1);  // one load unit per group
+  LoopReport report = run_pipeline(loop, options);
+  ASSERT_TRUE(report.validation_violations.empty());
+  const auto send = std::find_if(
+      report.tac.instrs.begin(), report.tac.instrs.end(),
+      [](const TacInstr& i) {
+        return i.op == Opcode::kSend && i.signal_stmt == 2;
+      });
+  ASSERT_NE(send, report.tac.instrs.end());
+  ASSERT_EQ(send->guarded_instrs.size(), 2u);
+  int first = send->guarded_instrs[0];
+  int second = send->guarded_instrs[1];
+  if (report.schedule.slot(first) > report.schedule.slot(second))
+    std::swap(first, second);
+  ASSERT_LT(report.schedule.slot(first), report.schedule.slot(second));
+
+  auto& from = report.schedule.groups[static_cast<std::size_t>(
+      report.schedule.slot(send->id))];
+  from.erase(std::find(from.begin(), from.end(), send->id));
+  const int to = report.schedule.slot(second);
+  report.schedule.groups[static_cast<std::size_t>(to)].push_back(send->id);
+  report.schedule.slot_of[static_cast<std::size_t>(send->id)] = to;
+
+  const std::vector<std::string> violations =
+      validate_pipeline(report, options);
+  EXPECT_TRUE(any_contains(violations,
+                           "does not follow its source access instr " +
+                               std::to_string(second) + " "))
+      << (violations.empty() ? "no violations" : violations.front());
+  EXPECT_FALSE(any_contains(violations,
+                            "does not follow its source access instr " +
+                                std::to_string(first) + " "));
+}
+
 TEST(ValidatePipeline, SunkWaitViolatesCondition2) {
   const PipelineOptions options = paper_options();
   LoopReport report =
