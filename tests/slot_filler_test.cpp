@@ -143,6 +143,87 @@ TEST(SlotFiller, TakeRejectsIncompleteSchedules) {
   EXPECT_THROW((void)filler.take(), SbmpError);
 }
 
+std::vector<int> free_nodes_of(const Built& b) {
+  std::vector<int> ids;
+  for (const auto& instr : b.tac.instrs)
+    if (b.dfg.is_free(instr.id)) ids.push_back(instr.id);
+  return ids;
+}
+
+TEST(SlotFiller, AddedArcHoldsItsHeadBack) {
+  const Built b = build(kSmall, machines::paper(4, 1));
+  SlotFiller filler(b.tac, b.dfg, b.config);
+  const std::vector<int> free_nodes = free_nodes_of(b);
+  ASSERT_GE(free_nodes.size(), 2u);
+  const int tail = free_nodes[0];
+  const int head = free_nodes[1];
+  filler.add_arc(tail, head, 3);
+  // The arc counts as a predecessor: unready until its tail is placed,
+  // and place_asap pulls the tail in as an ancestor.
+  EXPECT_EQ(filler.ready_slot(head), -1);
+  EXPECT_EQ(filler.place_asap(head, 0), 3);
+  EXPECT_EQ(filler.slot(tail), 0);
+}
+
+/// Everything a placement can observe of the capacity state: length,
+/// which ids are placed, and per (id, slot) the capacity test and the
+/// bitset-driven free-slot search.
+std::vector<int> observable_state(const Built& b, const SlotFiller& filler) {
+  std::vector<int> state{filler.length(), filler.num_placed()};
+  for (const auto& instr : b.tac.instrs) {
+    state.push_back(filler.slot(instr.id));
+    for (int s = 0; s <= filler.length() + 2; ++s) {
+      state.push_back(filler.capacity_ok(s, instr.id) ? 1 : 0);
+      state.push_back(filler.latest_free_slot_before(instr.id, s));
+    }
+  }
+  return state;
+}
+
+TEST(SlotFiller, RolledBackTrialLeavesNoTrace) {
+  const Built b = build(R"(
+doacross I = 1, 10
+  A[I] = A[I-1] + B[I]
+  C[I] = D[I+1] * E[I-2]
+end
+)", machines::paper(2, 1));
+  SlotFiller filler(b.tac, b.dfg, b.config);
+  const std::vector<int> free_nodes = free_nodes_of(b);
+  ASSERT_GE(free_nodes.size(), 5u);
+  filler.place_at(free_nodes[0], 0);
+  filler.place_at(free_nodes[1], 2);
+  const std::vector<int> before = observable_state(b, filler);
+
+  // A trial that saturates an existing group (width 2), adds to another
+  // and appends groups up to a new one.
+  filler.begin_trial();
+  filler.place_at(free_nodes[2], 0);
+  filler.place_at(free_nodes[3], 1);
+  filler.place_at(free_nodes[4], 6);
+  EXPECT_EQ(filler.length(), 7);
+  EXPECT_FALSE(filler.capacity_ok(0, free_nodes[4]));
+  EXPECT_EQ(filler.latest_free_slot_before(free_nodes[4], 1), -1);
+  filler.rollback();
+  EXPECT_EQ(observable_state(b, filler), before);
+
+  // A committed trial lands in the group lists exactly once per id.
+  filler.begin_trial();
+  filler.place_at(free_nodes[2], 4);
+  filler.commit();
+  for (const auto& instr : b.tac.instrs)
+    if (!filler.placed(instr.id)) filler.place_asap(instr.id, 0);
+  const Schedule s = filler.take();
+  std::size_t listed = 0;
+  for (int g = 0; g < s.length(); ++g) {
+    for (const int id : s.groups[static_cast<std::size_t>(g)]) {
+      EXPECT_EQ(s.slot(id), g);
+      ++listed;
+    }
+  }
+  EXPECT_EQ(listed, b.tac.instrs.size());
+  EXPECT_EQ(s.slot(free_nodes[2]), 4);
+}
+
 TEST(SlotFiller, PlacementIsIdempotentPerInstruction) {
   const Built b = build(kSmall, machines::paper(4, 1));
   SlotFiller filler(b.tac, b.dfg, b.config);
