@@ -13,10 +13,11 @@
 //   bench_archsweep --check [BENCH_compile.json]
 //                       # CI mode: the 4-point paper grid; fails on empty
 //                       # or non-finite metrics, when a machine's corpus
-//                       # parallel time (T_b) rises above the one recorded
-//                       # in BENCH_compile.json, or when the 4-issue(#FU=2)
-//                       # point's corpus fingerprint drifts from the
-//                       # recorded one
+//                       # parallel time (T_b) or the random draw's T_b at
+//                       # signal-buffer depth 0 or 2 rises above the one
+//                       # recorded in BENCH_compile.json, or when the
+//                       # 4-issue(#FU=2) point's corpus fingerprint drifts
+//                       # from the recorded one
 //
 // Grid spec: whitespace-separated axes `name=v1,v2,...` over the default
 // machine; every axis multiplies the grid. Axes: issue (width), fu
@@ -269,9 +270,11 @@ void print_table(const MachineMetrics& baseline,
 
 /// CI smoke: the paper's four machines must produce non-empty, finite
 /// metrics, none of their corpus parallel times (the paper's T_b) may
-/// exceed the one recorded in BENCH_compile.json, and the machine
-/// bench_micro fingerprints (4-issue, #FU=2) must reproduce the
-/// recorded fingerprint.
+/// exceed the one recorded in BENCH_compile.json, nor may the random
+/// draw's at either signal-buffer depth (the corpus holds no cycle of
+/// conversions; the draw does), and the machine bench_micro
+/// fingerprints (4-issue, #FU=2) must reproduce the recorded
+/// fingerprint.
 int check_sweep(const std::vector<MachineMetrics>& points,
                 const std::string& compile_json_path) {
   std::ifstream in(compile_json_path);
@@ -333,6 +336,23 @@ int check_sweep(const std::vector<MachineMetrics>& points,
   if (!pinned_point_seen) {
     std::fprintf(stderr, "check grid is missing the 4-issue(#FU=2) point\n");
     failed = true;
+  }
+  for (const int depth : bench::kRandomDrawBuffers) {
+    const std::string key = bench::random_draw_key(depth);
+    std::string recorded;
+    const std::int64_t now = bench::random_parallel_time(depth);
+    if (!bench::json_phase_field(json, "random_parallel_time", key,
+                                 &recorded)) {
+      std::fprintf(stderr, "%s records no random_parallel_time for %s\n",
+                   compile_json_path.c_str(), key.c_str());
+      failed = true;
+    } else if (now > std::atoll(recorded.c_str())) {
+      std::fprintf(stderr,
+                   "T_b ROSE: random draw at %s parallel time %" PRId64
+                   " > recorded %s\n",
+                   key.c_str(), now, recorded.c_str());
+      failed = true;
+    }
   }
   std::printf("archsweep check: %zu machines, pinned fingerprint %s — %s\n",
               points.size(), stored_fp.c_str(), failed ? "FAIL" : "PASS");

@@ -23,8 +23,10 @@
 #include "sbmp/core/pipeline.h"
 #include "sbmp/frontend/parser.h"
 #include "sbmp/obs/trace.h"
+#include "sbmp/perfect/generator.h"
 #include "sbmp/perfect/suite.h"
 #include "sbmp/support/hash.h"
+#include "sbmp/support/rng.h"
 #include "sbmp/support/status.h"
 #include "sbmp/support/strings.h"
 #include "sbmp/support/thread_pool.h"
@@ -247,6 +249,31 @@ inline std::vector<CorpusLoop> compile_corpus() {
   return targets;
 }
 
+/// The `buffered` benchmark's random draw: 128 loops of 6-16 statements
+/// with trip 2000, drawn from `loop_seed` (1997 is the benchmark's own).
+/// Unlike the corpus, its loops hold cycles of conversions.
+inline std::vector<Loop> random_draw(std::uint64_t loop_seed = 1997) {
+  LoopGenConfig shape;
+  shape.min_stmts = 6;
+  shape.max_stmts = 16;
+  shape.trip = 2000;
+  SplitMix64 rng(loop_seed);
+  std::vector<Loop> loops;
+  for (int i = 0; i < 128; ++i)
+    loops.push_back(generate_random_loop(rng, shape));
+  return loops;
+}
+
+/// Options of one random_draw() compile: the 4-issue, 2-FU machine with
+/// a `buffer_depth`-deep signal buffer, 2000 iterations.
+inline PipelineOptions random_draw_options(int buffer_depth) {
+  PipelineOptions options;
+  options.machine = machines::paper(4, 2);
+  options.machine.signal_buffer_depth = buffer_depth;
+  options.iterations = 2000;
+  return options;
+}
+
 /// Compiles every corpus loop under `options`, drops the refused ones
 /// (a result without a DFG is the facade's stub for a loop with
 /// irregular carried dependences), and returns the 16-hex-char
@@ -323,12 +350,31 @@ struct CompilePerf {
   /// each kPaperCases machine ("2x1", ...) at 100 iterations, the guard
   /// included. bench_archsweep --check fails when one of them rises.
   std::vector<std::pair<std::string, std::int64_t>> corpus_parallel_time;
+  /// T_b of the random draw: random_draw()'s summed parallel time under
+  /// random_draw_options() at buffer depth 0 ("buf0") and 2 ("buf2").
+  /// bench_archsweep --check fails when one of them rises.
+  std::vector<std::pair<std::string, std::int64_t>> random_parallel_time;
   std::vector<PhasePerf> phases;  ///< traced pass, pipeline order
 };
 
 /// The key of a paper machine in "corpus_parallel_time": "2x1", ...
 inline std::string paper_machine_key(int issue_width, int fus) {
   return std::to_string(issue_width) + "x" + std::to_string(fus);
+}
+
+/// The signal-buffer depths of "random_parallel_time", and their keys.
+inline constexpr std::array<int, 2> kRandomDrawBuffers{{0, 2}};
+inline std::string random_draw_key(int buffer_depth) {
+  return "buf" + std::to_string(buffer_depth);
+}
+
+/// random_draw()'s summed parallel time at one buffer depth.
+inline std::int64_t random_parallel_time(int buffer_depth) {
+  const PipelineOptions options = random_draw_options(buffer_depth);
+  std::int64_t total = 0;
+  for (const Loop& loop : random_draw())
+    total += compile({loop, options}).report.parallel_time();
+  return total;
 }
 
 inline std::int64_t percentile_ns(std::vector<std::int64_t>& samples,
@@ -370,6 +416,9 @@ inline CompilePerf run_compile_perf(int reps = 7) {
     perf.corpus_parallel_time.emplace_back(
         paper_machine_key(c.issue_width, c.fus), total);
   }
+  for (const int depth : kRandomDrawBuffers)
+    perf.random_parallel_time.emplace_back(random_draw_key(depth),
+                                           random_parallel_time(depth));
 
   // Single-thread per-loop latency distribution. Requests are built
   // outside the timed region: the facade copies the loop into the
@@ -507,13 +556,15 @@ inline CompilePerf run_compile_perf(int reps = 7) {
 /// compiles whose never-degrade fallback simulation the list bound
 /// skipped) and "l1_hit_rate" (cache hits served by the thread-local
 /// L1); v5 adds "corpus_parallel_time" (T_b per paper machine, which
-/// bench_archsweep --check holds). The check-mode readers scan fields
-/// by key, so bench_micro --check reads any of these versions.
+/// bench_archsweep --check holds); v6 adds "random_parallel_time" (T_b
+/// of the random draw at signal-buffer depths 0 and 2, held the same
+/// way). The check-mode readers scan fields by key, so bench_micro
+/// --check reads any of these versions.
 inline std::string compile_perf_to_json(const CompilePerf& perf) {
   std::string out;
   appendf(out,
           "{\n"
-          "  \"schema\": \"sbmp-bench-compile-v5\",\n"
+          "  \"schema\": \"sbmp-bench-compile-v6\",\n"
           "  \"corpus_loops\": %d,\n"
           "  \"reps\": %d,\n"
           "  \"compile_ns\": {\"p50\": %lld, \"p99\": %lld},\n"
@@ -540,11 +591,16 @@ inline std::string compile_perf_to_json(const CompilePerf& perf) {
           perf.fallback_skip_rate, perf.l1_hit_rate,
           static_cast<unsigned long long>(perf.allocs_per_compile),
           perf.schedule_fingerprint.c_str());
-  for (std::size_t i = 0; i < perf.corpus_parallel_time.size(); ++i) {
-    appendf(out, "%s\"%s\": %lld", i == 0 ? "" : ", ",
-            perf.corpus_parallel_time[i].first.c_str(),
-            static_cast<long long>(perf.corpus_parallel_time[i].second));
-  }
+  const auto append_times =
+      [&](const std::vector<std::pair<std::string, std::int64_t>>& times) {
+        for (std::size_t i = 0; i < times.size(); ++i)
+          appendf(out, "%s\"%s\": %lld", i == 0 ? "" : ", ",
+                  times[i].first.c_str(),
+                  static_cast<long long>(times[i].second));
+      };
+  append_times(perf.corpus_parallel_time);
+  appendf(out, "},\n  \"random_parallel_time\": {");
+  append_times(perf.random_parallel_time);
   appendf(out, "},\n  \"phase_ns\": {");
   for (std::size_t i = 0; i < perf.phases.size(); ++i) {
     appendf(out, "%s\n    \"%s\": {\"p50\": %lld, \"p99\": %lld}",

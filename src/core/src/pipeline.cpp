@@ -85,6 +85,9 @@ class PhaseScope {
 struct SyncGeometry {
   std::int64_t lbd_pairs = 0;
   std::int64_t lfd_pairs = 0;
+  /// LBD pairs with no DFG path from wait to send: LBD only because
+  /// they sit on a cycle of conversions.
+  std::int64_t cycle_lbd_pairs = 0;
   std::int64_t worst_sync_span = 0;  ///< worst send−wait+1 (i−j span)
 };
 
@@ -101,6 +104,9 @@ SyncGeometry sync_geometry(const LoopReport& report,
       ++out.lfd_pairs;
     } else {
       ++out.lbd_pairs;
+      thread_local std::vector<int> path;
+      report.dfg->sync_path(pair, path);
+      if (path.empty()) ++out.cycle_lbd_pairs;
     }
     out.worst_sync_span =
         std::max<std::int64_t>(out.worst_sync_span, send_slot - wait_slot + 1);
@@ -116,6 +122,7 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
   if (span) {
     span.arg("lbd_pairs", geometry.lbd_pairs);
     span.arg("lfd_pairs", geometry.lfd_pairs);
+    span.arg("cycle_lbd_pairs", geometry.cycle_lbd_pairs);
     span.arg("worst_sync_span", geometry.worst_sync_span);
     span.arg("waits_eliminated", report.waits_eliminated);
     span.arg("list_fallback", report.used_list_fallback ? 1 : 0);
@@ -123,7 +130,7 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
     span.arg("parallel_time", report.sim.parallel_time);
   }
   if (MetricsRegistry* metrics = options.metrics) {
-    // Same caching idea as cached_phase_histogram: these six counters
+    // Same caching idea as cached_phase_histogram: these seven counters
     // tick for every compiled loop, so resolve them once per (thread,
     // registry) and pay only pointer increments afterwards.
     struct LoopCounters {
@@ -131,6 +138,7 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
       Counter* loops = nullptr;
       Counter* lbd_pairs = nullptr;
       Counter* lfd_pairs = nullptr;
+      Counter* cycle_lbd_pairs = nullptr;
       Counter* waits_eliminated = nullptr;
       Counter* list_fallback = nullptr;
       Counter* fallback_sim_skipped = nullptr;
@@ -141,6 +149,8 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
       cached.loops = metrics->counter("sbmp_compile_loops_total");
       cached.lbd_pairs = metrics->counter("sbmp_compile_lbd_pairs_total");
       cached.lfd_pairs = metrics->counter("sbmp_compile_lfd_pairs_total");
+      cached.cycle_lbd_pairs =
+          metrics->counter("sbmp_compile_cycle_lbd_pairs_total");
       cached.waits_eliminated =
           metrics->counter("sbmp_compile_waits_eliminated_total");
       cached.list_fallback =
@@ -151,6 +161,7 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
     cached.loops->inc();
     cached.lbd_pairs->inc(geometry.lbd_pairs);
     cached.lfd_pairs->inc(geometry.lfd_pairs);
+    cached.cycle_lbd_pairs->inc(geometry.cycle_lbd_pairs);
     cached.waits_eliminated->inc(report.waits_eliminated);
     if (report.used_list_fallback) cached.list_fallback->inc();
     if (report.fallback_sim_skipped) cached.fallback_sim_skipped->inc();

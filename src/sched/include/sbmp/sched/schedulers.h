@@ -75,22 +75,32 @@ struct SyncAwareOptions {
   /// Rule 1: convert every convertible pair (no DFG path from its wait to
   /// its send) into LFD by holding the wait at least the signal latency
   /// after the send, whatever graphs the two live in (Section 3.2's
-  /// Sig/Wat rule). Off: no wait is held after its send, and Sig
+  /// Sig/Wat rule). Where conversions would close a cycle, its pairs
+  /// share the cycle's cost by distance instead, and some end LBD (see
+  /// schedule_sync_aware). Off: no wait is held after its send, and Sig
   /// components are scheduled like plain ones.
   bool convert_lfd = true;
 };
 
 /// The paper's synchronization-aware scheduler. Rule 1 adds a send ->
-/// wait arc of the machine's signal latency for every convertible pair
-/// (accepted by ascending distance; one that would close a cycle with
-/// the arcs already accepted is left LBD, the only way a convertible
-/// pair stays LBD). Every placement honours the arcs. Then:
-///  1. Sigwat components holding a synchronization path, in descending
-///     (n/d)*|SP| priority; inside each, paths are placed in consecutive
-///     groups (overlapping paths merged and scheduled together, upstream
-///     paths first), each wait as late as rule 2 allows, ancestors filled
-///     ASAP into spare lanes, then the remaining component nodes; the
-///     other Sigwat components follow ASAP;
+/// wait arc of the machine's signal latency for every convertible pair,
+/// accepted by ascending distance. A pair q whose arc would close a cycle
+/// with the arcs already accepted stays LBD: around that cycle, of
+/// weight W (the longest chain from q's wait to its send plus one signal
+/// latency), no schedule runs faster than W/Σd cycles per iteration, the
+/// multi-pair form of the LBD cost (i - j + 1)/d. So each converted pair
+/// j on the chain takes the slack ⌊W·d_j/Σd⌋ off its arc's latency (the
+/// wait may then issue before its send, leaving j LBD too), and q's chain
+/// becomes its synchronization path. A convertible pair ends LBD only on
+/// such a cycle. Every placement honours the arcs. Then:
+///  1. Components holding a synchronization path (or chain), in
+///     descending (n/d)*|SP| priority, d being Σd for a chain; inside
+///     each, paths are placed in consecutive groups (overlapping paths
+///     merged and scheduled together, upstream paths first, a chain
+///     stepping each conversion arc by its latency), each wait as late
+///     as rule 2 allows, ancestors filled ASAP into spare lanes, then the
+///     remaining component nodes; the other Sigwat components follow
+///     ASAP;
 ///  2. Sig components ASAP, so sends land early;
 ///  3. Wat components ASAP, each wait held after its send by its arc;
 ///  4. remaining plain components ASAP into the holes.

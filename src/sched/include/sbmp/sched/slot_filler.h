@@ -51,8 +51,19 @@ class SlotFiller {
   /// Adds the precedence arc `from -> to` on top of the DFG: `to` may not
   /// issue before slot(from) + latency. Every readiness query and
   /// place_ancestors_asap honour it like a DFG edge. At most one arc per
-  /// head; the caller keeps the arcs acyclic together with the DFG.
+  /// head; the caller keeps the arcs acyclic together with the DFG. The
+  /// latency may be zero or negative: `to` may then issue in or before
+  /// `from`'s group, though still placed after it.
   void add_arc(int from, int to, int latency);
+  /// True when the arc `from -> to` was added.
+  [[nodiscard]] bool has_arc(int from, int to) const {
+    return has_arcs_ &&
+           scratch_->arc_from[static_cast<std::size_t>(to)] == from;
+  }
+  /// Latency of the arc added into `to`; only valid when it has one.
+  [[nodiscard]] int arc_latency(int to) const {
+    return scratch_->arc_latency[static_cast<std::size_t>(to)];
+  }
 
   /// Opens a trial: every placement from here on is logged, and
   /// rollback() undoes them all. One trial at a time, on a materializing

@@ -1,9 +1,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 
 #include "sbmp/sched/schedulers.h"
 #include "sbmp/sched/slot_filler.h"
+#include "sbmp/support/overflow.h"
 
 namespace sbmp {
 
@@ -14,13 +16,15 @@ namespace {
 /// dfg.pairs() position unless noted; `paths` is resized, never cleared,
 /// so each path buffer keeps its capacity across loops.
 struct SyncAwareScratch {
-  /// SP(Wat, Sig); empty when the pair is convertible.
+  /// SP(Wat, Sig), or a cycle breaker's chain; empty for the other
+  /// convertible pairs.
   std::vector<std::vector<int>> paths;
-  /// Pairs with a path, by descending (n/d) * |SP|, then position.
+  /// Pairs with a path or chain, by descending (n/d) * |SP|, then
+  /// position.
   std::vector<int> by_priority;
   /// Convertible pairs, by ascending distance, then position.
   std::vector<int> conversions;
-  /// Sigwat components holding a path, by their best path's priority.
+  /// Components holding a path's wait, by their best path's priority.
   std::vector<int> path_comps;
   std::vector<double> comp_priority;  ///< indexed by component
   /// Instruction id -> index of its send among the paired sends, or -1.
@@ -33,7 +37,25 @@ struct SyncAwareScratch {
   std::vector<std::uint64_t> closure;
   /// Per pair: its path has been placed (or is being).
   std::vector<std::uint8_t> visited;
+  /// Per pair, the latency of its accepted conversion arc, or kNone.
+  std::vector<int> arc_latency;
+  /// Convertible pairs left LBD because their arc would close a cycle.
+  std::vector<int> cycle_breakers;
+  /// Instruction ids in a topological order of the DFG arcs plus the
+  /// accepted conversion arcs, and the in-degrees it is built from.
+  std::vector<int> topo_order;
+  std::vector<int> indegree;
+  /// Per instruction, the longest chain to it from one cycle breaker's
+  /// wait (kNone when unreached), and its predecessor on that chain.
+  std::vector<int> chain_len;
+  std::vector<int> chain_prev;
+  /// Per pair, the distance its path's priority divides by: its own, or
+  /// for a cycle breaker the distance sum of its cycle.
+  std::vector<std::int64_t> path_distance;
 };
+
+/// No conversion arc (arc_latency), or unreached (chain_len).
+constexpr int kNone = std::numeric_limits<int>::min();
 
 SyncAwareScratch& sync_aware_scratch() {
   thread_local SyncAwareScratch scratch;
@@ -55,23 +77,33 @@ void place_component_asap(SlotFiller& filler, const Dfg& dfg, int comp) {
   }
 }
 
+/// The fewest groups from one path node to the next: a conversion arc's
+/// latency (zero or negative when the arc lends its pair cycle slack),
+/// else one.
+int walk_step(const SlotFiller& filler, int from, int to) {
+  return filler.has_arc(from, to) ? filler.arc_latency(to) : 1;
+}
+
 /// Places the unplaced nodes of a synchronization path in path order,
-/// each at its earliest slot after its path predecessor, after pulling
-/// its unplaced ancestors into earlier holes.
+/// each at its earliest slot a walk step after its path predecessor,
+/// after pulling its unplaced ancestors into earlier holes.
 void walk_path(SlotFiller& filler, const std::vector<int>& path) {
   int prev_slot = -1;
-  for (const int node : path) {
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    const int node = path[i];
+    const int step = i == 0 ? 1 : walk_step(filler, path[i - 1], node);
     prev_slot = filler.placed(node) ? filler.slot(node)
-                                    : filler.place_asap(node, prev_slot + 1);
+                                    : filler.place_asap(node, prev_slot + step);
   }
 }
 
 /// The fewest groups a walk can put between a path's wait and its send:
-/// one per arc, or the arc's latency when that is longer.
-int min_path_span(const Dfg& dfg, const std::vector<int>& path) {
+/// one walk step per arc, or the DFG arc's latency when that is longer.
+int min_path_span(const SlotFiller& filler, const Dfg& dfg,
+                  const std::vector<int>& path) {
   int span = 0;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    int step = 1;
+    int step = walk_step(filler, path[i], path[i + 1]);
     for (const auto& e : dfg.succs(path[i]))
       if (e.to == path[i + 1]) step = std::max(step, e.latency);
     span += step;
@@ -98,7 +130,7 @@ void place_path(SlotFiller& filler, const Dfg& dfg,
   walk_path(filler, path);
   const int earliest_wait = filler.slot(wait);
   const int send_slot = filler.slot(send);
-  int target = send_slot - min_path_span(dfg, path);
+  int target = send_slot - min_path_span(filler, dfg, path);
   if (target <= earliest_wait) {
     filler.commit();
     return;
@@ -123,6 +155,103 @@ void place_path(SlotFiller& filler, const Dfg& dfg,
     filler.rollback();
   }
   walk_path(filler, path);  // no later wait keeps the send: ASAP it is
+}
+
+/// Rule 1's cycle slack, run when some convertible pair q stays LBD
+/// because its arc would close a cycle of conversions. Take W, the
+/// longest chain from q's wait to its send through DFG arcs and accepted
+/// conversion arcs (each counting its latency) plus q's signal latency.
+/// Around that cycle the shifts x = send slot - wait slot + sig of its
+/// pairs sum to at least W, and each pair holds an iteration x / d
+/// cycles, so the cycle runs at W / Σd per iteration at best, and at
+/// that rate when every x is proportional to its pair's distance. Each
+/// converted pair j on the chain therefore takes ⌊W·d_j / Σd⌋ as slack:
+/// its arc's latency drops to sig minus that (the smallest over the
+/// chains it lies on). q keeps the rest, and its chain becomes its
+/// synchronization path, placed by rule 2 like any other, at the
+/// priority (n/Σd)*|chain| of the cycle it closes.
+void share_cycle_slack(SyncAwareScratch& scratch, const Dfg& dfg, int sig) {
+  const std::vector<SyncPair>& pairs = dfg.pairs();
+  const std::size_t num_pairs = pairs.size();
+  std::vector<int>& arc_latency = scratch.arc_latency;
+  std::vector<std::int64_t>& distance = scratch.path_distance;
+  // f(pair) for each accepted conversion arc out of instruction `id`.
+  const auto for_each_arc_from = [&](int id, const auto& f) {
+    if (scratch.send_index[static_cast<std::size_t>(id)] < 0) return;
+    for (std::size_t p = 0; p < num_pairs; ++p)
+      if (arc_latency[p] != kNone && pairs[p].send_instr == id) f(p);
+  };
+
+  // One topological order of the DFG arcs plus the accepted arcs, which
+  // rule 1 accepted only while they stayed acyclic.
+  const auto n = static_cast<std::size_t>(dfg.size());
+  std::vector<int>& indegree = scratch.indegree;
+  std::vector<int>& order = scratch.topo_order;
+  indegree.assign(n + 1, 0);
+  order.clear();
+  for (std::size_t p = 0; p < num_pairs; ++p)
+    if (arc_latency[p] != kNone)
+      ++indegree[static_cast<std::size_t>(pairs[p].wait_instr)];
+  for (int id = 1; id <= dfg.size(); ++id) {
+    indegree[static_cast<std::size_t>(id)] += dfg.indegree(id);
+    if (indegree[static_cast<std::size_t>(id)] == 0) order.push_back(id);
+  }
+  const auto release = [&](int id) {
+    if (--indegree[static_cast<std::size_t>(id)] == 0) order.push_back(id);
+  };
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const int id = order[head];
+    for (const auto& e : dfg.succs(id)) release(e.to);
+    for_each_arc_from(id, [&](std::size_t p) { release(pairs[p].wait_instr); });
+  }
+  assert(order.size() == n && "conversion arcs stay acyclic");
+
+  std::vector<int>& len = scratch.chain_len;
+  std::vector<int>& prev = scratch.chain_prev;
+  prev.resize(n + 1);
+  const auto relax = [&](int from, int to, int latency) {
+    const int at = len[static_cast<std::size_t>(from)] + latency;
+    if (at > len[static_cast<std::size_t>(to)]) {
+      len[static_cast<std::size_t>(to)] = at;
+      prev[static_cast<std::size_t>(to)] = from;
+    }
+  };
+  for (const int q : scratch.cycle_breakers) {
+    const SyncPair& breaker = pairs[static_cast<std::size_t>(q)];
+    len.assign(n + 1, kNone);
+    len[static_cast<std::size_t>(breaker.wait_instr)] = 0;
+    for (const int id : order) {
+      if (len[static_cast<std::size_t>(id)] == kNone) continue;
+      for (const auto& e : dfg.succs(id)) relax(id, e.to, e.latency);
+      for_each_arc_from(
+          id, [&](std::size_t p) { relax(id, pairs[p].wait_instr, sig); });
+    }
+    const int chain_len = len[static_cast<std::size_t>(breaker.send_instr)];
+    assert(chain_len != kNone && "a cycle breaker's wait reaches its send");
+    std::vector<int>& chain = scratch.paths[static_cast<std::size_t>(q)];
+    chain.clear();
+    for (int at = breaker.send_instr;;) {
+      chain.push_back(at);
+      if (at == breaker.wait_instr) break;
+      at = prev[static_cast<std::size_t>(at)];
+    }
+    std::reverse(chain.begin(), chain.end());
+    const auto for_each_chain_pair = [&](const auto& f) {
+      for (std::size_t i = 0; i + 1 < chain.size(); ++i)
+        for_each_arc_from(chain[i], [&](std::size_t p) {
+          if (pairs[p].wait_instr == chain[i + 1]) f(p);
+        });
+    };
+    const std::int64_t weight = static_cast<std::int64_t>(chain_len) + sig;
+    std::int64_t sum_d = distance[static_cast<std::size_t>(q)];
+    for_each_chain_pair(
+        [&](std::size_t p) { sum_d = sat_add(sum_d, distance[p]); });
+    for_each_chain_pair([&](std::size_t p) {
+      const auto share = static_cast<int>(sat_mul(weight, distance[p]) / sum_d);
+      arc_latency[p] = std::min(arc_latency[p], sig - share);
+    });
+    distance[static_cast<std::size_t>(q)] = sum_d;
+  }
 }
 
 }  // namespace
@@ -173,19 +302,23 @@ Schedule schedule_sync_aware(const TacFunction& tac, const Dfg& dfg,
     return send_index[static_cast<std::size_t>(pairs[p].send_instr)];
   };
 
-  // Synchronization paths, ordered by their (n/d)*|SP| priorities.
+  // Synchronization paths, ordered by their (n/d)*|SP| priorities once
+  // rule 1 has added the cycle breakers' chains.
   std::vector<std::vector<int>>& paths = scratch.paths;
   if (paths.size() < num_pairs) paths.resize(num_pairs);
   std::vector<int>& by_priority = scratch.by_priority;
   std::vector<int>& conversions = scratch.conversions;
+  std::vector<std::int64_t>& path_distance = scratch.path_distance;
   by_priority.clear();
   conversions.clear();
+  path_distance.resize(num_pairs);
   const auto priority = [&](std::size_t p) {
-    const std::int64_t d = pairs[p].distance > 0 ? pairs[p].distance : 1;
-    return static_cast<double>(n_iterations) / static_cast<double>(d) *
+    return static_cast<double>(n_iterations) /
+           static_cast<double>(path_distance[p]) *
            static_cast<double>(paths[p].size());
   };
   for (std::size_t p = 0; p < num_pairs; ++p) {
+    path_distance[p] = std::max<std::int64_t>(pairs[p].distance, 1);
     paths[p].clear();
     if (has_bit(row_of(pairs[p].wait_instr), send_bit(p))) {
       dfg.sync_path(pairs[p], paths[p]);
@@ -194,11 +327,6 @@ Schedule schedule_sync_aware(const TacFunction& tac, const Dfg& dfg,
       conversions.push_back(static_cast<int>(p));
     }
   }
-  std::sort(by_priority.begin(), by_priority.end(), [&](int a, int b) {
-    const double pa = priority(static_cast<std::size_t>(a));
-    const double pb = priority(static_cast<std::size_t>(b));
-    return pa != pb ? pa > pb : a < b;
-  });
 
   // Rule 1, LFD conversion: every convertible pair gets a send -> wait
   // arc of the machine's signal latency, which every placement below
@@ -206,12 +334,17 @@ Schedule schedule_sync_aware(const TacFunction& tac, const Dfg& dfg,
   // conversions can close a cycle together (each wait reaching the
   // other's send); conversions are accepted by ascending distance, then
   // pair order, and one whose arc would close a cycle with the arcs
-  // already accepted is left LBD. `closure` tracks, per pair, the sends
-  // its wait reaches through DFG arcs and accepted arcs.
+  // already accepted stays LBD, shares the cycle's cost with the pairs
+  // on it (share_cycle_slack) and joins the paths. `closure` tracks, per
+  // pair, the sends its wait reaches through DFG arcs and accepted arcs.
   std::vector<std::uint64_t>& closure = scratch.closure;
   closure.resize(num_pairs * words);
   for (std::size_t p = 0; p < num_pairs; ++p)
     std::copy_n(row_of(pairs[p].wait_instr), words, &closure[p * words]);
+  std::vector<int>& arc_latency = scratch.arc_latency;
+  arc_latency.assign(num_pairs, kNone);
+  std::vector<int>& breakers = scratch.cycle_breakers;
+  breakers.clear();
   if (options.convert_lfd) {
     std::sort(conversions.begin(), conversions.end(), [&](int a, int b) {
       const std::int64_t da = pairs[static_cast<std::size_t>(a)].distance;
@@ -222,9 +355,11 @@ Schedule schedule_sync_aware(const TacFunction& tac, const Dfg& dfg,
       const auto p = static_cast<std::size_t>(c);
       const int bit = send_bit(p);
       const std::uint64_t* own = &closure[p * words];
-      if (has_bit(own, bit)) continue;  // would close a cycle: stays LBD
-      filler.add_arc(pairs[p].send_instr, pairs[p].wait_instr,
-                     config.signal_latency);
+      if (has_bit(own, bit)) {  // would close a cycle: stays LBD
+        breakers.push_back(c);
+        continue;
+      }
+      arc_latency[p] = config.signal_latency;
       // Every wait that reaches this send now reaches what its wait does.
       for (std::size_t q = 0; q < num_pairs; ++q) {
         std::uint64_t* row = &closure[q * words];
@@ -233,10 +368,24 @@ Schedule schedule_sync_aware(const TacFunction& tac, const Dfg& dfg,
         for (std::size_t w = 0; w < words; ++w) row[w] |= own[w] & take;
       }
     }
+    if (!breakers.empty()) {
+      share_cycle_slack(scratch, dfg, config.signal_latency);
+      by_priority.insert(by_priority.end(), breakers.begin(), breakers.end());
+    }
+    for (std::size_t p = 0; p < num_pairs; ++p)
+      if (arc_latency[p] != kNone)
+        filler.add_arc(pairs[p].send_instr, pairs[p].wait_instr,
+                       arc_latency[p]);
   }
+  std::sort(by_priority.begin(), by_priority.end(), [&](int a, int b) {
+    const double pa = priority(static_cast<std::size_t>(a));
+    const double pb = priority(static_cast<std::size_t>(b));
+    return pa != pb ? pa > pb : a < b;
+  });
 
-  // Phase 1: Sigwat components, those holding a path first, by their best
-  // path's priority (then component id), the rest in id order. Inside
+  // Phase 1: the components holding a path's wait (a cycle breaker's may
+  // sit in a Wat component), by their best path's priority (then
+  // component id), then the other Sigwat components in id order. Inside
   // each, place every synchronization path in priority order in
   // consecutive groups, its wait as late as rule 2 allows. Paths sharing
   // nodes chain through the already-placed shared prefix, realizing the

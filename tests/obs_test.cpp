@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -258,8 +259,9 @@ TEST(PipelineObservability, PhaseSpansAndLoopArgsAreEmitted) {
     EXPECT_NE(json.find(phase), std::string::npos) << phase;
   }
   for (const char* arg :
-       {"\"lbd_pairs\"", "\"lfd_pairs\"", "\"worst_sync_span\"",
-        "\"waits_eliminated\"", "\"parallel_time\""}) {
+       {"\"lbd_pairs\"", "\"lfd_pairs\"", "\"cycle_lbd_pairs\"",
+        "\"worst_sync_span\"", "\"waits_eliminated\"",
+        "\"parallel_time\""}) {
     EXPECT_NE(json.find(arg), std::string::npos) << arg;
   }
 }
@@ -311,6 +313,39 @@ TEST(PipelineObservability, MetricsAccumulateAcrossJobs8Batch) {
       snapshot.find("sbmp_compile_phase_ns", "phase=\"dep\"");
   ASSERT_NE(dep, nullptr);
   EXPECT_EQ(dep->count, completed);
+}
+
+TEST(PipelineObservability, CycleLbdPairsCountOnlyConversionCycles) {
+  // The paper example's LBD pairs each have a wait -> send path, so none
+  // is cycle-forced; in the two-pair conversion cycle both pairs share
+  // the cycle's cost and end LBD with no such path.
+  const auto counts = [](const char* source) {
+    MetricsRegistry registry;
+    PipelineOptions options;
+    options.machine = machines::paper(4, 2);
+    options.iterations = 100;
+    options.metrics = &registry;
+    EXPECT_TRUE(compile({parse_single_loop_or_throw(source), options}).ok());
+    const MetricsSnapshot snapshot = registry.snapshot();
+    const MetricSample* lbd = snapshot.find("sbmp_compile_lbd_pairs_total");
+    const MetricSample* cycle =
+        snapshot.find("sbmp_compile_cycle_lbd_pairs_total");
+    EXPECT_NE(lbd, nullptr);
+    EXPECT_NE(cycle, nullptr);
+    return std::pair<std::int64_t, std::int64_t>(
+        lbd != nullptr ? lbd->value : -1, cycle != nullptr ? cycle->value : -1);
+  };
+  const auto [paper_lbd, paper_cycle] = counts(kPaperExample);
+  EXPECT_GT(paper_lbd, 0);
+  EXPECT_EQ(paper_cycle, 0);
+  const auto [cycle_lbd, cycle_cycle] = counts(R"(
+doacross I = 1, 100
+  A[I] = B[I-1] + X[I]
+  B[I] = A[I-2] * Y[I]
+end
+)");
+  EXPECT_EQ(cycle_lbd, 2);
+  EXPECT_EQ(cycle_cycle, 2);
 }
 
 /// The golden pin: the corpus fingerprint on the machine bench_micro

@@ -10,6 +10,7 @@
 #include "sbmp/perfect/generator.h"
 #include "sbmp/sched/schedulers.h"
 #include "sbmp/sim/analytic.h"
+#include "sbmp/sim/simulator.h"
 #include "sbmp/support/rng.h"
 #include "sbmp/sync/sync.h"
 
@@ -143,38 +144,31 @@ TEST(SyncAware, EveryConvertiblePairIsLfdOnTheCorpus) {
 }
 
 TEST(SyncAware, ConvertiblePairsStayLbdOnlyToBreakCycles) {
-  // Two conversions can close a cycle (each wait reaching the other's
-  // send), and then one of them must stay LBD. That is the only reason a
-  // convertible pair may: each one left LBD has its wait reaching its
-  // send through DFG arcs plus the send -> wait arcs of the pairs that
-  // were converted. The draw is the buffered benchmark's (loop seed
-  // 1997) on 4x2: 69 of its 1409 convertible pairs stay LBD.
-  LoopGenConfig shape;
-  shape.min_stmts = 6;
-  shape.max_stmts = 16;
-  shape.trip = 2000;
-  SplitMix64 rng(1997);
+  // Conversions can close a cycle (each wait reaching the next pair's
+  // send), and then the pairs on it share the cycle's cost by distance:
+  // the one whose arc would close it stays LBD, and the others may end
+  // LBD by their share. That is the only reason a convertible pair may:
+  // each one left LBD has its wait reaching its own send through DFG
+  // arcs plus the send -> wait arcs of the other convertible pairs. The
+  // draw is the buffered benchmark's (loop seed 1997) on 4x2: 181 of its
+  // 1409 convertible pairs end LBD.
   const MachineDesc machine = machines::paper(4, 2);
   int convertible = 0;
   int lbd = 0;
-  for (int i = 0; i < 128; ++i) {
-    const Loop loop = generate_random_loop(rng, shape);
+  const std::vector<Loop> draw = bench::random_draw();
+  for (std::size_t i = 0; i < draw.size(); ++i) {
+    const Loop& loop = draw[i];
     const DepAnalysis deps = analyze_dependences(loop);
     if (!deps.is_synchronizable()) continue;
     const TacFunction tac = generate_tac(insert_synchronization(loop, deps));
     const Dfg dfg(tac, machine);
     const Schedule s = schedule_sync_aware(tac, dfg, machine, 2000);
-    const auto is_lfd = [&](const SyncPair& pair) {
-      return s.slot(pair.wait_instr) >= s.slot(pair.send_instr) + 1;
-    };
-    std::vector<std::pair<int, int>> arcs;  // send -> wait, converted
+    std::vector<SyncPair> convertibles;
     for (const auto& pair : dfg.pairs())
-      if (dfg.sync_path(pair).empty() && is_lfd(pair))
-        arcs.emplace_back(pair.send_instr, pair.wait_instr);
-    for (const auto& pair : dfg.pairs()) {
-      if (!dfg.sync_path(pair).empty()) continue;
+      if (dfg.sync_path(pair).empty()) convertibles.push_back(pair);
+    for (const auto& pair : convertibles) {
       ++convertible;
-      if (is_lfd(pair)) continue;
+      if (s.slot(pair.wait_instr) >= s.slot(pair.send_instr) + 1) continue;
       ++lbd;
       std::vector<int> stack{pair.wait_instr};
       std::vector<bool> seen(static_cast<std::size_t>(dfg.size()) + 1);
@@ -190,8 +184,9 @@ TEST(SyncAware, ConvertiblePairsStayLbdOnlyToBreakCycles) {
           }
         };
         for (const auto& e : dfg.succs(at)) push(e.to);
-        for (const auto& [send, wait] : arcs)
-          if (send == at) push(wait);
+        for (const auto& other : convertibles)
+          if (other.wait_instr != pair.wait_instr && other.send_instr == at)
+            push(other.wait_instr);
       }
       EXPECT_TRUE(reaches) << "random loop " << i << ", S" << pair.signal_stmt
                            << " at distance " << pair.distance
@@ -200,7 +195,73 @@ TEST(SyncAware, ConvertiblePairsStayLbdOnlyToBreakCycles) {
     }
   }
   EXPECT_EQ(convertible, 1409);
-  EXPECT_EQ(lbd, 69);
+  EXPECT_EQ(lbd, 181);
+}
+
+TEST(SyncAware, ConversionCycleRunsAtItsDistanceWeightedRate) {
+  // S2's pair (distance 1) waits before S1's body and S1's pair
+  // (distance 2) before S2's, so neither wait reaches its own send but
+  // each reaches the other's: the two conversions close one cycle. Its
+  // weight W is the two wait -> send chains plus one signal latency per
+  // pair. Around it the shifts x = send - wait + sig sum to at least W,
+  // so no schedule beats W / (d1 + d2) cycles per iteration; leaving the
+  // distance-2 pair to carry the whole cycle runs at W / 2.
+  const Built b = build(R"(
+doacross I = 1, 16800
+  A[I] = B[I-1] + X[I]
+  B[I] = A[I-2] * Y[I]
+end
+)", machines::paper(4, 2));
+  ASSERT_EQ(b.dfg.pairs().size(), 2u);
+  const SyncPair& p = b.dfg.pairs()[0];
+  const SyncPair& q = b.dfg.pairs()[1];
+  ASSERT_TRUE(b.dfg.sync_path(p).empty());
+  ASSERT_TRUE(b.dfg.sync_path(q).empty());
+  ASSERT_NE(p.distance, q.distance);
+  // Longest latency-weighted DFG path; every DFG arc points forward.
+  const auto longest = [&](int from, int to) {
+    std::vector<int> len(static_cast<std::size_t>(b.dfg.size()) + 1, -1);
+    len[static_cast<std::size_t>(from)] = 0;
+    for (int id = from; id <= b.dfg.size(); ++id) {
+      const int at = len[static_cast<std::size_t>(id)];
+      if (at < 0) continue;
+      for (const auto& e : b.dfg.succs(id))
+        len[static_cast<std::size_t>(e.to)] = std::max(
+            len[static_cast<std::size_t>(e.to)], at + e.latency);
+    }
+    return len[static_cast<std::size_t>(to)];
+  };
+  const int to_q = longest(p.wait_instr, q.send_instr);
+  const int to_p = longest(q.wait_instr, p.send_instr);
+  ASSERT_GT(to_q, 0);
+  ASSERT_GT(to_p, 0);
+  const std::int64_t sig = b.config.signal_latency;
+  const std::int64_t weight = to_q + to_p + 2 * sig;
+  const std::int64_t sum_d = p.distance + q.distance;
+  const std::int64_t max_d = std::max(p.distance, q.distance);
+
+  // Both trip counts are multiples of every steady-state period.
+  const Schedule s = schedule_sync_aware(b.tac, b.dfg, b.config, 16800);
+  const auto time = [&](std::int64_t n) {
+    SimOptions options;
+    options.iterations = n;
+    return simulate(b.tac, b.dfg, s, b.config, options).parallel_time;
+  };
+  const std::int64_t rise = time(16800) - time(8400);
+  EXPECT_GE(rise * sum_d, weight * 8400)
+      << "slope " << rise / 8400.0 << " beats W/Σd = " << weight << "/"
+      << sum_d;
+  EXPECT_LT(rise * max_d, weight * 8400)
+      << "slope " << rise / 8400.0 << " is no better than W/d = " << weight
+      << "/" << max_d;
+
+  // Two loops of the buffered benchmark's draw (loop seed 1997, 4x2 with
+  // a 2-deep signal buffer, 2000 iterations) bound by such a cycle, and
+  // their times when each pair was placed alone (28018 and 40016).
+  const std::vector<Loop> draw = bench::random_draw();
+  const PipelineOptions buffered = bench::random_draw_options(2);
+  EXPECT_LT(compile({draw[111], buffered}).report.parallel_time(), 28018);
+  EXPECT_LT(compile({draw[55], buffered}).report.parallel_time(), 40016);
 }
 
 TEST(SyncAware, SchedulesLoopsWithNoSyncPairs) {
