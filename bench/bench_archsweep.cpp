@@ -1,14 +1,20 @@
-// bench_archsweep — the architecture sweep lab (docs/machines.md).
+// bench_archsweep — the architecture sweep lab (docs/machines.md) and
+// the one driver of the paper's T_a/T_b numbers.
 //
 // Compiles the full compile-perf corpus at every point of a grid of
-// MachineDescs and emits a comparative report: per-machine IPC, total
-// parallel time, worst LBD sync span, never-degrade fallback rate,
-// redundant waits eliminated, and speedup against the paper's baseline
-// machine. The paper's four-machine table (issue {2,4} x FUs {1,2}) is
-// the `buf=0` slice of the default grid; the signal-buffer-depth axis
-// is the sweep the paper never ran.
+// MachineDescs, once under the sync-aware scheduler (T_b) and once under
+// list scheduling (T_a), and emits a comparative report: per-machine
+// IPC, total parallel time, worst LBD sync span, never-degrade fallback
+// rate and speedup against the paper's baseline machine; then T_a and
+// T_b summed per benchmark with the five Perfect benchmarks' total (the
+// paper's Table 2), and the improvement of T_b over T_a with one overall
+// line per issue width (Table 3). The signal-buffer-depth axis of the
+// default grid is the sweep the paper never ran.
 //
 //   bench_archsweep                          # default grid, table to stdout
+//   bench_archsweep --grid "issue=2,4 fu=1,2"             # Tables 2 and 3
+//   bench_archsweep --grid "issue=1,2,3,4,6,8 fu=1"       # issue width
+//   bench_archsweep --grid "issue=4 fu=1 sig=1,2,4,8,16"  # signal latency
 //   bench_archsweep --grid "issue=2,4 buf=0,4" --json BENCH_archsweep.json
 //   bench_archsweep --check [BENCH_compile.json]
 //                       # CI mode: the 4-point paper grid; fails on empty
@@ -29,11 +35,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "sbmp/sim/analytic.h"
+#include "sbmp/support/strings.h"
 #include "sbmp/support/table.h"
 
 using namespace sbmp;
@@ -125,9 +134,24 @@ bool apply_axis(MachineDesc* machine, const std::string& name, int value) {
   return true;
 }
 
+/// T_a (list scheduling) and T_b (sync-aware) of one benchmark: its
+/// loops' parallel times summed, the paper's Table 2 cell.
+struct BenchmarkSum {
+  std::string name;
+  bool perfect = false;  ///< one of the five Perfect benchmarks
+  std::int64_t ta = 0;
+  std::int64_t tb = 0;
+
+  [[nodiscard]] double improvement() const {
+    return ta > 0 ? static_cast<double>(ta - tb) / static_cast<double>(ta)
+                  : 0.0;
+  }
+};
+
 /// Everything the report records about one grid point.
 struct MachineMetrics {
   MachineDesc machine;
+  std::string tag;  ///< the point's grid values, "2-1" for issue=2 fu=1
   std::string fingerprint;
   int loops = 0;
   int failures = 0;
@@ -136,8 +160,9 @@ struct MachineMetrics {
   double ipc = 0.0;
   int lbd_span_max = 0;
   double fallback_rate = 0.0;
-  int waits_eliminated = 0;
   double speedup_vs_baseline = 0.0;
+  std::vector<BenchmarkSum> benchmarks;  ///< corpus order
+  BenchmarkSum perfect_total{"Perfect total", true};  ///< Table 2's Total
 };
 
 constexpr std::int64_t kIterations = 100;  // the paper's per-loop count
@@ -151,22 +176,32 @@ PipelineOptions sweep_options(const MachineDesc& machine) {
   return options;
 }
 
-/// Compiles the corpus on `machine` and aggregates the report metrics.
-/// `jobs` feeds the batch facade's fan-out; `cache` is shared across the
-/// whole grid so identical (loop, machine) cells are deduplicated.
+/// A loop's contribution to its program's total parallel time: zero for
+/// a loop that never simulated or needs no synchronization (Doall), as
+/// in ProgramReport::total_parallel_time.
+std::int64_t doacross_time(const LoopReport& loop) {
+  return loop.dfg.has_value() && !loop.doall ? loop.parallel_time() : 0;
+}
+
+/// Compiles the corpus on `machine` under both schedulers and aggregates
+/// the report metrics. `jobs` feeds the batch facade's fan-out; `cache`
+/// is shared across the whole grid so identical (loop, machine) cells
+/// are deduplicated.
 MachineMetrics measure_machine(const MachineDesc& machine,
                                const std::vector<CorpusLoop>& corpus,
                                int jobs, ResultCache* cache) {
   MachineMetrics metrics;
   metrics.machine = machine;
   const PipelineOptions options = sweep_options(machine);
-
-  std::vector<CompileRequest> requests;
-  requests.reserve(corpus.size());
-  for (const auto& target : corpus) requests.push_back({target.loop, options});
   CompileBatchOptions batch;
   batch.jobs = jobs;
-  const ProgramReport report = compile(requests, batch, cache);
+  const auto compile_corpus_with = [&](const PipelineOptions& with) {
+    std::vector<CompileRequest> requests;
+    requests.reserve(corpus.size());
+    for (const auto& target : corpus) requests.push_back({target.loop, with});
+    return compile(requests, batch, cache);
+  };
+  const ProgramReport report = compile_corpus_with(options);
 
   metrics.failures = static_cast<int>(report.failures.size());
   metrics.total_parallel_time = report.total_parallel_time;
@@ -187,19 +222,28 @@ MachineMetrics measure_machine(const MachineDesc& machine,
     metrics.ipc = static_cast<double>(metrics.instructions) /
                   static_cast<double>(metrics.total_parallel_time);
 
-  // Redundant-wait elimination is off in the fingerprinted pass (it is
-  // off in the pipeline defaults); a second batch with the pass enabled
-  // reports how many waits this machine's schedules can shed.
-  PipelineOptions eliminate_options = options;
-  eliminate_options.eliminate_redundant_waits = true;
-  std::vector<CompileRequest> eliminate_requests;
-  eliminate_requests.reserve(corpus.size());
-  for (const auto& target : corpus)
-    eliminate_requests.push_back({target.loop, eliminate_options});
-  const ProgramReport eliminated =
-      compile(eliminate_requests, batch, cache);
-  for (const LoopReport& loop : eliminated.loops)
-    if (loop.status.ok()) metrics.waits_eliminated += loop.waits_eliminated;
+  // T_a: the same corpus under list scheduling, the paper's baseline.
+  PipelineOptions list_options = options;
+  list_options.scheduler = SchedulerKind::kList;
+  const ProgramReport list = compile_corpus_with(list_options);
+
+  // Sum both by benchmark. compile_corpus keeps each benchmark's loops
+  // together and labels the Perfect ones "<benchmark>/<loop>".
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::string& label = corpus[i].label;
+    const std::size_t slash = label.find('/');
+    const std::string name = label.substr(0, slash);
+    if (metrics.benchmarks.empty() || metrics.benchmarks.back().name != name)
+      metrics.benchmarks.push_back({name, slash != std::string::npos});
+    BenchmarkSum& sum = metrics.benchmarks.back();
+    sum.ta += doacross_time(list.loops[i]);
+    sum.tb += doacross_time(report.loops[i]);
+  }
+  for (const BenchmarkSum& sum : metrics.benchmarks) {
+    if (!sum.perfect) continue;
+    metrics.perfect_total.ta += sum.ta;
+    metrics.perfect_total.tb += sum.tb;
+  }
 
   // Fingerprint from a serial pass over the same cache: all hits, and
   // the hash order matches bench_micro's byte for byte.
@@ -214,7 +258,7 @@ std::string machines_to_json(const std::string& grid,
   std::string out;
   appendf(out,
           "{\n"
-          "  \"schema\": \"sbmp-bench-archsweep-v1\",\n"
+          "  \"schema\": \"sbmp-bench-archsweep-v2\",\n"
           "  \"grid\": \"%s\",\n"
           "  \"iterations\": %lld,\n"
           "  \"baseline\": {\"machine\": \"%s\", \"total_parallel_time\": "
@@ -230,42 +274,103 @@ std::string machines_to_json(const std::string& grid,
             "     \"loops\": %d, \"failures\": %d,\n"
             "     \"total_parallel_time\": %lld, \"instructions\": %lld, "
             "\"ipc\": %.3f,\n"
-            "     \"lbd_span_max\": %d, \"fallback_rate\": %.3f, "
-            "\"waits_eliminated\": %d,\n"
+            "     \"lbd_span_max\": %d, \"fallback_rate\": %.3f,\n"
             "     \"speedup_vs_baseline\": %.3f, "
-            "\"schedule_fingerprint\": \"%s\"}",
+            "\"schedule_fingerprint\": \"%s\",\n"
+            "     \"benchmarks\": [",
             i == 0 ? "" : ",", m.machine.label().c_str(),
             m.machine.to_string().c_str(), m.loops, m.failures,
             static_cast<long long>(m.total_parallel_time),
             static_cast<long long>(m.instructions), m.ipc, m.lbd_span_max,
-            m.fallback_rate, m.waits_eliminated, m.speedup_vs_baseline,
-            m.fingerprint.c_str());
+            m.fallback_rate, m.speedup_vs_baseline, m.fingerprint.c_str());
+    for (std::size_t b = 0; b < m.benchmarks.size(); ++b) {
+      const BenchmarkSum& sum = m.benchmarks[b];
+      appendf(out, "%s\n       {\"name\": \"%s\", \"ta\": %lld, \"tb\": %lld}",
+              b == 0 ? "" : ",", sum.name.c_str(),
+              static_cast<long long>(sum.ta), static_cast<long long>(sum.tb));
+    }
+    appendf(out,
+            "],\n"
+            "     \"perfect_total\": {\"ta\": %lld, \"tb\": %lld}}",
+            static_cast<long long>(m.perfect_total.ta),
+            static_cast<long long>(m.perfect_total.tb));
   }
   appendf(out, "\n  ]\n}\n");
   return out;
 }
 
-void print_table(const MachineMetrics& baseline,
-                 const std::vector<MachineMetrics>& points) {
+void print_tables(const MachineMetrics& baseline,
+                  const std::vector<MachineMetrics>& points,
+                  const std::string& tag_axes) {
   TextTable table;
   table.set_header({"machine", "buf", "sig", "IPC", "total cycles",
-                    "speedup", "LBD span", "fallback%", "waits-elim"});
+                    "speedup", "LBD span", "fallback%"});
   for (const MachineMetrics& m : points) {
-    char ipc[32], speedup[32], fallback[32];
-    std::snprintf(ipc, sizeof ipc, "%.3f", m.ipc);
-    std::snprintf(speedup, sizeof speedup, "%.3f", m.speedup_vs_baseline);
-    std::snprintf(fallback, sizeof fallback, "%.1f", m.fallback_rate * 100.0);
     table.add_row({m.machine.label(),
                    std::to_string(m.machine.signal_buffer_depth),
-                   std::to_string(m.machine.signal_latency), ipc,
-                   std::to_string(m.total_parallel_time), speedup,
-                   std::to_string(m.lbd_span_max), fallback,
-                   std::to_string(m.waits_eliminated)});
+                   std::to_string(m.machine.signal_latency),
+                   format_fixed(m.ipc, 3),
+                   std::to_string(m.total_parallel_time),
+                   format_fixed(m.speedup_vs_baseline, 3),
+                   std::to_string(m.lbd_span_max),
+                   format_fixed(m.fallback_rate * 100.0, 1)});
   }
   std::printf("Corpus-wide architecture sweep (%lld iterations per loop, "
               "baseline %s):\n%s",
               static_cast<long long>(kIterations),
               baseline.machine.label().c_str(), table.render().c_str());
+
+  // Table 2's layout (a benchmark per row, T_a and T_b per grid point)
+  // and Table 3's (the improvement of T_b over T_a), each ruling off
+  // the five Perfect benchmarks and their total.
+  const std::vector<BenchmarkSum>& rows = points.front().benchmarks;
+  TextTable sums;
+  TextTable gains;
+  std::vector<std::string> sums_header{"Benchmarks"};
+  std::vector<std::string> gains_header{"Benchmarks"};
+  for (const MachineMetrics& m : points) {
+    sums_header.push_back("Ta-" + m.tag);
+    sums_header.push_back("Tb-" + m.tag);
+    gains_header.push_back(m.tag);
+  }
+  sums.set_header(std::move(sums_header));
+  gains.set_header(std::move(gains_header));
+  for (std::size_t b = 0; b <= rows.size(); ++b) {
+    const bool total = b == rows.size();
+    if (b > 0 && (total || (rows[b].perfect && !rows[b - 1].perfect))) {
+      sums.add_separator();
+      gains.add_separator();
+    }
+    std::vector<std::string> sums_row{
+        total ? points.front().perfect_total.name : rows[b].name};
+    std::vector<std::string> gains_row = sums_row;
+    for (const MachineMetrics& m : points) {
+      const BenchmarkSum& sum = total ? m.perfect_total : m.benchmarks[b];
+      sums_row.push_back(std::to_string(sum.ta));
+      sums_row.push_back(std::to_string(sum.tb));
+      gains_row.push_back(format_percent(sum.improvement()));
+    }
+    sums.add_row(std::move(sums_row));
+    gains.add_row(std::move(gains_row));
+  }
+  std::printf("\nParallel execution time per benchmark (cycles; a = list "
+              "scheduling,\nb = sync-aware scheduling; columns tagged %s):"
+              "\n%s",
+              tag_axes.c_str(), sums.render().c_str());
+  std::printf("\nImprovement of T_b over T_a (columns tagged %s):\n%s",
+              tag_axes.c_str(), gains.render().c_str());
+
+  // Table 3's summaries: the Perfect totals of every grid point of one
+  // issue width, summed.
+  std::map<int, BenchmarkSum> by_width;
+  for (const MachineMetrics& m : points) {
+    BenchmarkSum& sum = by_width[m.machine.issue_width];
+    sum.ta += m.perfect_total.ta;
+    sum.tb += m.perfect_total.tb;
+  }
+  for (const auto& [width, sum] : by_width)
+    std::printf("Overall improvement, %d-issue: %s\n", width,
+                format_percent(sum.improvement()).c_str());
 }
 
 /// CI smoke: the paper's four machines must produce non-empty, finite
@@ -390,21 +495,26 @@ int main(int argc, char** argv) {
   std::vector<Axis> axes;
   if (!parse_grid(grid, &axes) || axes.empty()) return 2;
 
-  // Cartesian product in axis order (first axis varies slowest).
-  std::vector<MachineDesc> machines_list{machines::default_machine()};
+  // Cartesian product in axis order (first axis varies slowest); each
+  // point is tagged with its axis values, "2-1" for issue=2 fu=1.
+  std::vector<std::pair<MachineDesc, std::string>> grid_points{
+      {machines::default_machine(), ""}};
+  std::string tag_axes;
   for (const Axis& axis : axes) {
-    std::vector<MachineDesc> next;
-    next.reserve(machines_list.size() * axis.values.size());
-    for (const MachineDesc& base : machines_list) {
+    tag_axes += (tag_axes.empty() ? "" : "-") + axis.name;
+    std::vector<std::pair<MachineDesc, std::string>> next;
+    next.reserve(grid_points.size() * axis.values.size());
+    for (const auto& [base, tag] : grid_points) {
       for (const int value : axis.values) {
         MachineDesc machine = base;
         if (!apply_axis(&machine, axis.name, value)) return 2;
-        next.push_back(machine);
+        next.push_back({machine, tag + (tag.empty() ? "" : "-") +
+                                     std::to_string(value)});
       }
     }
-    machines_list = std::move(next);
+    grid_points = std::move(next);
   }
-  for (const MachineDesc& machine : machines_list) {
+  for (const auto& [machine, tag] : grid_points) {
     if (Status status = machine.validate(); !status.ok()) {
       std::fprintf(stderr, "invalid grid machine \"%s\": %s\n",
                    machine.to_string().c_str(), status.message.c_str());
@@ -417,9 +527,10 @@ int main(int argc, char** argv) {
   const MachineMetrics baseline = measure_machine(
       machines::default_machine(), corpus, jobs, &cache);
   std::vector<MachineMetrics> points;
-  points.reserve(machines_list.size());
-  for (const MachineDesc& machine : machines_list) {
+  points.reserve(grid_points.size());
+  for (const auto& [machine, tag] : grid_points) {
     MachineMetrics metrics = measure_machine(machine, corpus, jobs, &cache);
+    metrics.tag = tag;
     if (metrics.total_parallel_time > 0 && baseline.total_parallel_time > 0)
       metrics.speedup_vs_baseline =
           static_cast<double>(baseline.total_parallel_time) /
@@ -428,7 +539,7 @@ int main(int argc, char** argv) {
   }
 
   if (check) return check_sweep(points, check_path);
-  print_table(baseline, points);
+  print_tables(baseline, points, tag_axes);
   const std::string json = machines_to_json(grid, baseline, points);
   if (!json_path.empty()) {
     std::ofstream out(json_path);

@@ -113,19 +113,6 @@ inline constexpr std::array<MachineCase, 4> kPaperCases{{
     {4, 2, "4-issue(#FU=2)"},
 }};
 
-/// T_a (list) and T_b (sync-aware) totals of one benchmark for one
-/// machine case: the sum of the parallel execution times of its
-/// DOACROSS loops over 100 iterations, the paper's Table 2 metric.
-struct CasePair {
-  std::int64_t ta = 0;
-  std::int64_t tb = 0;
-
-  [[nodiscard]] double improvement() const {
-    return ta > 0 ? static_cast<double>(ta - tb) / static_cast<double>(ta)
-                  : 0.0;
-  }
-};
-
 /// Parses `--jobs N` from a harness command line (other arguments are
 /// left for the harness itself). 0 = one worker per hardware thread;
 /// 1 = the serial engine, bit-identical to the pre-parallel harnesses.
@@ -136,77 +123,6 @@ inline int parse_jobs(int argc, char** argv) {
       jobs = std::atoi(argv[i + 1]);
   }
   return jobs;
-}
-
-inline PipelineOptions case_options(const MachineCase& machine) {
-  PipelineOptions options;
-  options.machine = machines::paper(machine.issue_width, machine.fus);
-  options.iterations = 100;
-  return options;
-}
-
-inline CasePair run_case(const PerfectBenchmark& bench,
-                         const MachineCase& machine,
-                         ResultCache* cache = nullptr) {
-  const PipelineOptions options = case_options(machine);
-  CasePair totals;
-  for (const auto& loop : bench.program().loops) {
-    if (analyze_dependences(loop).is_doall()) continue;
-    const SchedulerComparison cmp = compare_schedulers(loop, options, cache);
-    totals.ta += cmp.baseline.parallel_time();
-    totals.tb += cmp.improved.parallel_time();
-  }
-  return totals;
-}
-
-/// All benchmarks x all cases; result[b][c]. The grid is embarrassingly
-/// parallel — every (benchmark, case, loop) cell is an independent
-/// compile-schedule-simulate pipeline — so cells fan out over `jobs`
-/// workers and land in a preallocated slot, then reduce in the exact
-/// order the serial loop used: totals are bit-identical for any `jobs`.
-/// A shared ResultCache deduplicates repeated (loop, options) pipelines
-/// across the grid.
-inline std::vector<std::array<CasePair, 4>> run_all_cases(int jobs = 1) {
-  const auto& suite = perfect_suite();
-  std::vector<Program> programs;
-  programs.reserve(suite.size());
-  for (const auto& bench : suite) programs.push_back(bench.program());
-
-  struct Cell {
-    std::size_t b;
-    std::size_t c;
-    std::size_t l;
-  };
-  std::vector<Cell> cells;
-  for (std::size_t b = 0; b < programs.size(); ++b)
-    for (std::size_t c = 0; c < kPaperCases.size(); ++c)
-      for (std::size_t l = 0; l < programs[b].loops.size(); ++l)
-        cells.push_back({b, c, l});
-
-  ResultCache cache;
-  std::vector<CasePair> partial(cells.size());
-  // Repeated grid runs (the bench loops, check mode's re-measure) tune
-  // this call site's chunk size from measured cell cost.
-  static ChunkTuner grid_tuner;
-  parallel_for(
-      jobs, 0, static_cast<std::int64_t>(cells.size()),
-      [&](std::int64_t i) {
-        const Cell& cell = cells[static_cast<std::size_t>(i)];
-        const Loop& loop = programs[cell.b].loops[cell.l];
-        if (analyze_dependences(loop).is_doall()) return;
-        const SchedulerComparison cmp = compare_schedulers(
-            loop, case_options(kPaperCases[cell.c]), &cache);
-        partial[static_cast<std::size_t>(i)] = {cmp.baseline.parallel_time(),
-                                                cmp.improved.parallel_time()};
-      },
-      &grid_tuner);
-
-  std::vector<std::array<CasePair, 4>> out(programs.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out[cells[i].b][cells[i].c].ta += partial[i].ta;
-    out[cells[i].b][cells[i].c].tb += partial[i].tb;
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------

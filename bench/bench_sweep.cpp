@@ -1,11 +1,12 @@
-// Parameter sweeps beyond the paper's four cases:
+// Parameter sweeps beyond the paper's four cases that vary the loop or
+// the processor count rather than the machine (machine sweeps — issue
+// width, signal latency, ... — are bench_archsweep grids):
 //   1. processors P = 1..100 for a stencil DOACROSS loop (speedup curve
 //      and its knee under both schedulers);
-//   2. issue width 1..8 at fixed #FU=1 for the suite total, showing the
-//      paper's observation that the new scheduling is insensitive to
-//      width while list scheduling is not;
-//   3. dependence distance d = 1..8 for a recurrence, showing the n/d
-//      factor of the LBD loop theorem.
+//   2. dependence distance d = 1..8 for a recurrence, showing the n/d
+//      factor of the LBD loop theorem;
+//   3. unroll factor 1..10 for the stencil, showing that unrolling
+//      amortizes synchronization instructions, not true dependences.
 // Every sweep point is an independent pipeline, so the points fan out
 // over `--jobs N` workers (0/default = hardware threads, 1 = serial)
 // and are printed in sweep order; a shared ResultCache deduplicates
@@ -370,59 +371,7 @@ int main(int argc, char** argv) {
                 table.render().c_str());
   }
 
-  // --- Sweep 2: issue width -----------------------------------------
-  {
-    const std::vector<int> widths{1, 2, 3, 4, 6, 8};
-    // Flatten (width, benchmark, loop) into independent cells.
-    std::vector<Program> programs;
-    for (const auto& bench : perfect_suite())
-      programs.push_back(bench.program());
-    struct Cell {
-      std::size_t w;
-      std::size_t b;
-      std::size_t l;
-    };
-    std::vector<Cell> cells;
-    for (std::size_t w = 0; w < widths.size(); ++w)
-      for (std::size_t b = 0; b < programs.size(); ++b)
-        for (std::size_t l = 0; l < programs[b].loops.size(); ++l)
-          cells.push_back({w, b, l});
-    std::vector<CasePair> partial(cells.size());
-    parallel_for(jobs, 0, static_cast<std::int64_t>(cells.size()),
-                 [&](std::int64_t i) {
-                   const Cell& cell = cells[static_cast<std::size_t>(i)];
-                   const Loop& loop = programs[cell.b].loops[cell.l];
-                   if (analyze_dependences(loop).is_doall()) return;
-                   PipelineOptions options;
-                   options.machine =
-                       machines::paper(widths[cell.w], 1);
-                   options.iterations = 100;
-                   const SchedulerComparison cmp =
-                       compare_schedulers(loop, options, &cache);
-                   partial[static_cast<std::size_t>(i)] = {
-                       cmp.baseline.parallel_time(),
-                       cmp.improved.parallel_time()};
-                 });
-    std::vector<CasePair> totals(widths.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      totals[cells[i].w].ta += partial[i].ta;
-      totals[cells[i].w].tb += partial[i].tb;
-    }
-    TextTable table;
-    table.set_header({"width", "Ta (list)", "Tb (sync-aware)", "Tb/Ta"});
-    for (std::size_t w = 0; w < widths.size(); ++w) {
-      table.add_row({std::to_string(widths[w]),
-                     std::to_string(totals[w].ta),
-                     std::to_string(totals[w].tb),
-                     format_fixed(static_cast<double>(totals[w].tb) /
-                                      static_cast<double>(totals[w].ta),
-                                  3)});
-    }
-    std::printf("Sweep 2: suite total vs issue width (#FU=1)\n\n%s\n",
-                table.render().c_str());
-  }
-
-  // --- Sweep 3: dependence distance ---------------------------------
+  // --- Sweep 2: dependence distance ---------------------------------
   {
     const std::vector<int> distances{1, 2, 3, 4, 6, 8};
     std::vector<SchedulerComparison> cmps(distances.size());
@@ -450,41 +399,12 @@ int main(int argc, char** argv) {
                      std::to_string(99 / distances[i])});
     }
     std::printf(
-        "Sweep 3: recurrence distance (LBD loop theorem's n/d factor)\n\n"
+        "Sweep 2: recurrence distance (LBD loop theorem's n/d factor)\n\n"
         "%s\n",
         table.render().c_str());
   }
 
-  // --- Sweep 4: signal latency --------------------------------------
-  {
-    const Loop loop = parse_single_loop_or_throw(kStencil);
-    const std::vector<int> nets{1, 2, 4, 8, 16};
-    std::vector<SchedulerComparison> cmps(nets.size());
-    parallel_for(jobs, 0, static_cast<std::int64_t>(nets.size()),
-                 [&](std::int64_t i) {
-                   PipelineOptions options;
-                   options.machine = machines::paper(4, 1);
-                   options.machine.signal_latency =
-                       nets[static_cast<std::size_t>(i)];
-                   options.iterations = 100;
-                   cmps[static_cast<std::size_t>(i)] =
-                       compare_schedulers(loop, options, &cache);
-                 });
-    TextTable table;
-    table.set_header({"signal latency", "list", "sync-aware"});
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      table.add_row({std::to_string(nets[i]),
-                     std::to_string(cmps[i].baseline.parallel_time()),
-                     std::to_string(cmps[i].improved.parallel_time())});
-    }
-    std::printf(
-        "Sweep 4: synchronization network latency (stencil loop; every\n"
-        "chain link pays the extra delay; LFD pairs stall once the\n"
-        "signal outruns their slack)\n\n%s\n",
-        table.render().c_str());
-  }
-
-  // --- Sweep 5: unroll factor ---------------------------------------
+  // --- Sweep 3: unroll factor ---------------------------------------
   {
     const Loop loop = parse_single_loop_or_throw(kStencil);
     const std::vector<int> factors{1, 2, 4, 5, 10};
@@ -509,7 +429,7 @@ int main(int argc, char** argv) {
                      std::to_string(cmps[i].improved.parallel_time())});
     }
     std::printf(
-        "Sweep 5: unrolling the stencil DOACROSS loop (distance-1\n"
+        "Sweep 3: unrolling the stencil DOACROSS loop (distance-1\n"
         "recurrence: each unrolled link covers `factor` elements, so the\n"
         "chain-bound time barely moves — unrolling amortizes sync\n"
         "instructions, not true dependences)\n\n%s\n",

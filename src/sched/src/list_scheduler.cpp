@@ -2,6 +2,7 @@
 
 #include "sbmp/sched/schedulers.h"
 #include "sbmp/sched/slot_filler.h"
+#include "sbmp/support/status.h"
 
 namespace sbmp {
 
@@ -32,6 +33,10 @@ ListScratch& list_scratch() {
 /// entry points so their decisions cannot diverge.
 void run_list_placement(SlotFiller& filler, const TacFunction& tac,
                         const Dfg& dfg, const MachineDesc& config) {
+  // The event-driven ready list below needs every edge latency >= 1:
+  // placing an instruction may then only make successors ready in a
+  // later cycle. MachineDesc::validate() rejects any shorter latency.
+  if (config.min_latency() < 1) throw StatusError(config.validate());
   const std::vector<int>& height = dfg.heights();
 
   // Cycle-driven list scheduling: at each cycle, issue the ready
@@ -50,32 +55,9 @@ void run_list_placement(SlotFiller& filler, const TacFunction& tac,
     return ha != hb ? ha > hb : a < b;
   });
 
-  // A zero-latency edge can make a successor ready within the cycle
-  // being scanned, mid-scan — the event-driven ready list below cannot
-  // express that, so such machine configurations keep the original
-  // rescan loop.
-  if (config.min_latency() < 1) {
-    int cycle = 0;
-    while (filler.num_placed() < n) {
-      for (const int id : order) {
-        if (filler.placed(id)) continue;
-        const int ready = filler.ready_slot(id);
-        if (ready < 0 || ready > cycle) continue;
-        if (!filler.capacity_ok(cycle, id)) continue;
-        filler.place_at(id, cycle);
-      }
-      ++cycle;
-    }
-    return;
-  }
-
-  // Event-driven form of the same loop: with every edge latency >= 1,
-  // placing an instruction can only make successors ready in a later
-  // cycle, so instead of rescanning all unplaced instructions each
-  // cycle, each instruction enters the bucket of the cycle its last
-  // predecessor result arrives and then waits in a priority-ordered
-  // avail list until capacity admits it. The placement decisions are
-  // identical to the rescan loop's.
+  // Event-driven: each instruction enters the bucket of the cycle its
+  // last predecessor result arrives, then waits in a priority-ordered
+  // avail list until capacity admits it.
   std::vector<int>& rank = scratch.rank;
   rank.assign(static_cast<std::size_t>(n) + 1, 0);
   for (int i = 0; i < n; ++i)

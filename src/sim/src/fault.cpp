@@ -13,7 +13,9 @@ namespace sbmp {
 
 namespace {
 
+using sim_detail::ResolvedDep;
 using sim_detail::SimCore;
+using sim_detail::resolve_deps;
 
 /// Iteration ceiling of the staleness oracle: it keeps a full issue-time
 /// row per iteration (the ring is too narrow for a global cycle-order
@@ -33,45 +35,6 @@ struct AccessEvent {
   std::int64_t element = 0;  ///< affine subscript value for `iter`
   int array = 0;             ///< index into the oracle's array table
 };
-
-/// A carried dependence with its source/sink access instructions
-/// resolved against the TAC (by statement, access kind, array and
-/// subscript — the same resolution check_cross_iteration_ordering
-/// uses, independent of DFG arcs).
-struct ResolvedDep {
-  const Dependence* dep = nullptr;
-  std::vector<int> src_instrs;
-  std::vector<int> snk_instrs;
-};
-
-std::vector<int> find_accesses(const TacFunction& tac, int stmt,
-                               const ArrayRef& ref, bool is_write) {
-  std::vector<int> out;
-  for (const auto& instr : tac.instrs) {
-    if (instr.stmt_id != stmt || !instr.is_mem()) continue;
-    const bool write = instr.op == Opcode::kStore;
-    if (write != is_write) continue;
-    if (instr.array == ref.array && instr.mem_index == ref.index)
-      out.push_back(instr.id);
-  }
-  return out;
-}
-
-std::vector<ResolvedDep> resolve_deps(const TacFunction& tac,
-                                      const std::vector<Dependence>& carried) {
-  std::vector<ResolvedDep> resolved;
-  for (const auto& dep : carried) {
-    if (!dep.loop_carried()) continue;
-    ResolvedDep rd;
-    rd.dep = &dep;
-    rd.src_instrs = find_accesses(tac, dep.src_stmt, dep.src_ref,
-                                  dep.kind != DepKind::kAnti);
-    rd.snk_instrs = find_accesses(tac, dep.snk_stmt, dep.snk_ref,
-                                  dep.kind != DepKind::kFlow);
-    resolved.push_back(std::move(rd));
-  }
-  return resolved;
-}
 
 void add_violation(FaultSimResult& out, std::int64_t& total,
                    std::string message) {

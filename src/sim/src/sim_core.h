@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sbmp/sim/fault.h"
@@ -32,6 +33,46 @@ struct IterTimes {
   std::int64_t last_issue = 0;  ///< issue cycle of the final group
   std::int64_t start = 0;
 };
+
+/// A carried dependence with its source and sink access instructions
+/// resolved against the TAC by statement, access kind, array and
+/// subscript, independent of DFG arcs. Shared by the two staleness
+/// checks: check_cross_iteration_ordering and the fault oracle.
+struct ResolvedDep {
+  const Dependence* dep = nullptr;
+  std::vector<int> src_instrs;
+  std::vector<int> snk_instrs;
+};
+
+inline std::vector<int> find_accesses(const TacFunction& tac, int stmt,
+                                      const ArrayRef& ref, bool is_write) {
+  std::vector<int> out;
+  for (const auto& instr : tac.instrs) {
+    if (instr.stmt_id != stmt || !instr.is_mem()) continue;
+    const bool write = instr.op == Opcode::kStore;
+    if (write != is_write) continue;
+    if (instr.array == ref.array && instr.mem_index == ref.index)
+      out.push_back(instr.id);
+  }
+  return out;
+}
+
+/// Resolves every loop-carried dependence of `carried`, in order.
+inline std::vector<ResolvedDep> resolve_deps(
+    const TacFunction& tac, const std::vector<Dependence>& carried) {
+  std::vector<ResolvedDep> resolved;
+  for (const auto& dep : carried) {
+    if (!dep.loop_carried()) continue;
+    ResolvedDep rd;
+    rd.dep = &dep;
+    rd.src_instrs = find_accesses(tac, dep.src_stmt, dep.src_ref,
+                                  dep.kind != DepKind::kAnti);
+    rd.snk_instrs = find_accesses(tac, dep.snk_stmt, dep.snk_ref,
+                                  dep.kind != DepKind::kFlow);
+    resolved.push_back(std::move(rd));
+  }
+  return resolved;
+}
 
 struct SimCore {
   const TacFunction& tac;

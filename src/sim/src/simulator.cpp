@@ -7,7 +7,9 @@
 
 namespace sbmp {
 
+using sim_detail::ResolvedDep;
 using sim_detail::SimCore;
+using sim_detail::resolve_deps;
 
 SimResult simulate(const TacFunction& tac, const Dfg& dfg,
                    const Schedule& schedule, const MachineDesc& config,
@@ -48,37 +50,10 @@ std::vector<std::string> check_cross_iteration_ordering(
     const std::vector<Dependence>& carried) {
   std::vector<std::string> violations;
 
-  // Resolve each dependence's source and sink access instructions.
-  struct DepInstrs {
-    const Dependence* dep;
-    std::vector<int> src_instrs;
-    std::vector<int> snk_instrs;
-  };
-  const auto find_accesses = [&](int stmt, const ArrayRef& ref,
-                                 bool is_write) {
-    std::vector<int> out;
-    for (const auto& instr : tac.instrs) {
-      if (instr.stmt_id != stmt || !instr.is_mem()) continue;
-      const bool write = instr.op == Opcode::kStore;
-      if (write != is_write) continue;
-      if (instr.array == ref.array && instr.mem_index == ref.index)
-        out.push_back(instr.id);
-    }
-    return out;
-  };
-  std::vector<DepInstrs> resolved;
+  const std::vector<ResolvedDep> resolved = resolve_deps(tac, carried);
   std::int64_t max_distance = 1;
-  for (const auto& dep : carried) {
-    if (!dep.loop_carried()) continue;
-    DepInstrs di;
-    di.dep = &dep;
-    di.src_instrs = find_accesses(dep.src_stmt, dep.src_ref,
-                                  dep.kind != DepKind::kAnti);
-    di.snk_instrs = find_accesses(dep.snk_stmt, dep.snk_ref,
-                                  dep.kind != DepKind::kFlow);
-    max_distance = std::max(max_distance, dep.distance);
-    resolved.push_back(std::move(di));
-  }
+  for (const auto& rd : resolved)
+    max_distance = std::max(max_distance, rd.dep->distance);
 
   SimOptions widened = options;
   SimCore core(tac, dfg, schedule, config, widened);
@@ -89,20 +64,20 @@ std::vector<std::string> check_cross_iteration_ordering(
   core.resize_window(window);
 
   const auto hook = [&](std::int64_t k) {
-    for (const auto& di : resolved) {
-      const std::int64_t src_iter = k - di.dep->distance;
+    for (const auto& rd : resolved) {
+      const std::int64_t src_iter = k - rd.dep->distance;
       if (src_iter < 0) continue;
-      for (const int src : di.src_instrs) {
+      for (const int src : rd.src_instrs) {
         const std::int64_t src_time =
             core.row(src_iter).group_issue[static_cast<std::size_t>(
                 schedule.slot(src))];
-        for (const int snk : di.snk_instrs) {
+        for (const int snk : rd.snk_instrs) {
           const std::int64_t snk_time =
               core.row(k).group_issue[static_cast<std::size_t>(
                   schedule.slot(snk))];
           if (!(src_time < snk_time)) {
             violations.push_back(
-                di.dep->to_string() + ": source instr " +
+                rd.dep->to_string() + ": source instr " +
                 std::to_string(src) + " of iteration " +
                 std::to_string(src_iter) + " issues at " +
                 std::to_string(src_time) +

@@ -77,6 +77,27 @@ TEST(ListScheduler, WaitsFloatEarly) {
   EXPECT_EQ(s.slot(28), s.length() - 1);
 }
 
+TEST(ListScheduler, RefusesASubUnitLatency) {
+  // A 0-cycle load could make a successor ready within the cycle being
+  // filled; the event-driven placement assumes it cannot, and
+  // MachineDesc::validate() rejects such a machine.
+  MachineDesc machine = machines::paper(4, 1);
+  machine.set_latency(Opcode::kLoad, 0);
+  const Built b = build(kFig1, machine);
+  const auto expect_input_error = [](const auto& schedule) {
+    try {
+      schedule();
+      ADD_FAILURE() << "scheduled a machine with a 0-cycle load";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code, StatusCode::kInput);
+    }
+  };
+  expect_input_error([&] { (void)schedule_list(b.tac, b.dfg, b.config); });
+  std::vector<int> slot_of;
+  expect_input_error(
+      [&] { (void)schedule_list_slots(b.tac, b.dfg, b.config, slot_of); });
+}
+
 TEST(SyncAware, ConvertsWatGraphPairToLFD) {
   const Built b = build(kFig1, machines::paper(4, 1));
   const Schedule s = schedule_sync_aware(b.tac, b.dfg, b.config, 100);

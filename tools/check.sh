@@ -30,8 +30,8 @@ echo "== real-execution smoke (threads vs serial reference) =="
 "$root/build/bench/bench_exec" --check
 
 echo "== non-default machine end-to-end (compile + execute + daemon) =="
-# One machine the legacy --width/--fus flags cannot express (bounded
-# signal buffer, asymmetric FU mix, a 2-cycle load) must travel the
+# One machine outside the paper's issue x FU grid (bounded signal
+# buffer, asymmetric FU mix, a 2-cycle load) must travel the
 # whole stack: local compile, real-thread execution, and the canonical
 # desc over the daemon wire with byte-identical output.
 mdesc='issue=8 fu=ls:2,mul:2 lat=load:2,muli:3,mul:3,div:6,*:1 buf=3'
@@ -50,7 +50,7 @@ kill "$sbmpd_pid" 2>/dev/null || true
 wait "$sbmpd_pid" 2>/dev/null || true
 trap - EXIT
 
-echo "== architecture sweep smoke (paper 4-point grid, fingerprint gate) =="
+echo "== architecture sweep smoke (paper 4-point grid: fingerprint + corpus and random-draw T_b gates) =="
 "$root/build/bench/bench_archsweep" --check "$root/BENCH_compile.json"
 
 if [[ -n "${SBMP_SANITIZE:-}" ]]; then

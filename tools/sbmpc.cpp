@@ -8,8 +8,9 @@
 //   sbmpc --list-benchmarks            # run the built-in Perfect suite
 //
 // Options:
-//   --width N          issue width (default 4)
-//   --fus N            function units per class (default 1)
+//   --machine DESC     the target machine as a canonical description
+//                      (docs/machines.md), or @file to read one; default
+//                      "issue=4 fu=1", the paper's 4-issue(#FU=1)
 //   --scheduler S      inorder | list | sync-marker | sync-aware
 //                      (default sync-aware)
 //   --iterations N     simulated iterations (default 100; 0 = trip count)
@@ -149,8 +150,7 @@ struct CliOptions {
 [[noreturn]] void usage(const char* message) {
   if (message != nullptr) std::fprintf(stderr, "sbmpc: %s\n", message);
   std::fprintf(stderr,
-               "usage: sbmpc [--width N] [--fus N] [--machine DESC|@file]\n"
-               "             [--scheduler S]\n"
+               "usage: sbmpc [--machine DESC|@file] [--scheduler S]\n"
                "             [--iterations N] [--processors P] [--compare]\n"
                "             [--check] [--eliminate] [--validate]\n"
                "             [--no-validate] [--tolerance N] [--mutate M]\n"
@@ -172,19 +172,10 @@ const char* next_arg(int argc, char** argv, int& i) {
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions cli;
-  int width = 4;
-  int fus = 1;
-  bool width_or_fus_given = false;
   std::string machine_text;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--width") == 0) {
-      width = std::atoi(next_arg(argc, argv, i));
-      width_or_fus_given = true;
-    } else if (std::strcmp(arg, "--fus") == 0) {
-      fus = std::atoi(next_arg(argc, argv, i));
-      width_or_fus_given = true;
-    } else if (std::strcmp(arg, "--machine") == 0) {
+    if (std::strcmp(arg, "--machine") == 0) {
       machine_text = next_arg(argc, argv, i);
       if (machine_text.empty()) usage("--machine wants a desc or @file");
     } else if (std::strcmp(arg, "--scheduler") == 0) {
@@ -266,10 +257,6 @@ CliOptions parse_cli(int argc, char** argv) {
     }
   }
   if (!machine_text.empty()) {
-    // The declarative form describes the whole machine; mixing it with
-    // the legacy shorthand flags would leave the precedence ambiguous.
-    if (width_or_fus_given)
-      usage("--machine replaces --width/--fus; give one or the other");
     if (machine_text[0] == '@') {
       std::ifstream in(machine_text.substr(1));
       if (!in)
@@ -283,9 +270,6 @@ CliOptions parse_cli(int argc, char** argv) {
         !status.ok()) {
       usage(status.message.c_str());
     }
-  } else {
-    if (width < 1 || fus < 1) usage("width and fus must be positive");
-    cli.pipeline.machine = machines::paper(width, fus);
   }
   if (cli.files.empty() && !cli.run_suite) usage("no input files");
   return cli;
