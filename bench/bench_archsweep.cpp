@@ -183,13 +183,14 @@ std::int64_t doacross_time(const LoopReport& loop) {
   return loop.dfg.has_value() && !loop.doall ? loop.parallel_time() : 0;
 }
 
-/// Compiles the corpus on `machine` under both schedulers and aggregates
-/// the report metrics. `jobs` feeds the batch facade's fan-out; `cache`
-/// is shared across the whole grid so identical (loop, machine) cells
-/// are deduplicated.
+/// Compiles the corpus on `machine` under the sync-aware scheduler and,
+/// when `with_ta` is set, under list scheduling too, and aggregates the
+/// report metrics (T_a stays 0 without it). `jobs` feeds the batch
+/// facade's fan-out; `cache` is shared across the whole grid so
+/// identical (loop, machine) cells are deduplicated.
 MachineMetrics measure_machine(const MachineDesc& machine,
                                const std::vector<CorpusLoop>& corpus,
-                               int jobs, ResultCache* cache) {
+                               int jobs, ResultCache* cache, bool with_ta) {
   MachineMetrics metrics;
   metrics.machine = machine;
   const PipelineOptions options = sweep_options(machine);
@@ -223,9 +224,13 @@ MachineMetrics measure_machine(const MachineDesc& machine,
                   static_cast<double>(metrics.total_parallel_time);
 
   // T_a: the same corpus under list scheduling, the paper's baseline.
-  PipelineOptions list_options = options;
-  list_options.scheduler = SchedulerKind::kList;
-  const ProgramReport list = compile_corpus_with(list_options);
+  // Only the tables and the JSON read it.
+  ProgramReport list;
+  if (with_ta) {
+    PipelineOptions list_options = options;
+    list_options.scheduler = SchedulerKind::kList;
+    list = compile_corpus_with(list_options);
+  }
 
   // Sum both by benchmark. compile_corpus keeps each benchmark's loops
   // together and labels the Perfect ones "<benchmark>/<loop>".
@@ -236,7 +241,7 @@ MachineMetrics measure_machine(const MachineDesc& machine,
     if (metrics.benchmarks.empty() || metrics.benchmarks.back().name != name)
       metrics.benchmarks.push_back({name, slash != std::string::npos});
     BenchmarkSum& sum = metrics.benchmarks.back();
-    sum.ta += doacross_time(list.loops[i]);
+    if (with_ta) sum.ta += doacross_time(list.loops[i]);
     sum.tb += doacross_time(report.loops[i]);
   }
   for (const BenchmarkSum& sum : metrics.benchmarks) {
@@ -524,12 +529,14 @@ int main(int argc, char** argv) {
 
   const std::vector<CorpusLoop> corpus = sbmp::bench::compile_corpus();
   ResultCache cache;
+  // The baseline contributes only its T_b total (the speedup column).
   const MachineMetrics baseline = measure_machine(
-      machines::default_machine(), corpus, jobs, &cache);
+      machines::default_machine(), corpus, jobs, &cache, false);
   std::vector<MachineMetrics> points;
   points.reserve(grid_points.size());
   for (const auto& [machine, tag] : grid_points) {
-    MachineMetrics metrics = measure_machine(machine, corpus, jobs, &cache);
+    MachineMetrics metrics =
+        measure_machine(machine, corpus, jobs, &cache, !check);
     metrics.tag = tag;
     if (metrics.total_parallel_time > 0 && baseline.total_parallel_time > 0)
       metrics.speedup_vs_baseline =

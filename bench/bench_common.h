@@ -257,9 +257,6 @@ struct CompilePerf {
   /// met the sync-aware time (sbmp_compile_fallback_sim_skipped /
   /// sbmp_compile_loops over the traced pass).
   double fallback_skip_rate = 0.0;
-  /// Fraction of cache hits served by the thread-local L1 front-cache
-  /// during the cache-hit pass (single thread → expected ~1.0).
-  double l1_hit_rate = 0.0;
   std::uint64_t allocs_per_compile = 0;  ///< 0 when no interposer
   std::string schedule_fingerprint;      ///< 16 hex chars
   /// The paper's T_b per machine: the corpus's summed parallel time on
@@ -419,9 +416,6 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   perf.cache_hit_p50_ns = percentile_ns(scratch, 0.50);
   scratch = hit_ns;
   perf.cache_hit_p99_ns = percentile_ns(scratch, 0.99);
-  if (cache.hits() > 0)
-    perf.l1_hit_rate = static_cast<double>(cache.l1_hits()) /
-                       static_cast<double>(cache.hits());
 
   // Per-phase latency breakdown from a separate *traced* pass, so the
   // uninstrumented numbers above measure exactly what production runs
@@ -474,13 +468,14 @@ inline CompilePerf run_compile_perf(int reps = 7) {
 /// L1); v5 adds "corpus_parallel_time" (T_b per paper machine, which
 /// bench_archsweep --check holds); v6 adds "random_parallel_time" (T_b
 /// of the random draw at signal-buffer depths 0 and 2, held the same
-/// way). The check-mode readers scan fields by key, so bench_micro
-/// --check reads any of these versions.
+/// way); v7 drops "l1_hit_rate" with the L1 it measured. The check-mode
+/// readers scan fields by key, so bench_micro --check reads any of
+/// these versions.
 inline std::string compile_perf_to_json(const CompilePerf& perf) {
   std::string out;
   appendf(out,
           "{\n"
-          "  \"schema\": \"sbmp-bench-compile-v6\",\n"
+          "  \"schema\": \"sbmp-bench-compile-v7\",\n"
           "  \"corpus_loops\": %d,\n"
           "  \"reps\": %d,\n"
           "  \"compile_ns\": {\"p50\": %lld, \"p99\": %lld},\n"
@@ -498,13 +493,12 @@ inline std::string compile_perf_to_json(const CompilePerf& perf) {
           "},\n"
           "  \"cache_hit_ns\": {\"p50\": %lld, \"p99\": %lld},\n"
           "  \"fallback_skip_rate\": %.3f,\n"
-          "  \"l1_hit_rate\": %.3f,\n"
           "  \"allocs_per_compile\": %llu,\n"
           "  \"schedule_fingerprint\": \"%s\",\n"
           "  \"corpus_parallel_time\": {",
           static_cast<long long>(perf.cache_hit_p50_ns),
           static_cast<long long>(perf.cache_hit_p99_ns),
-          perf.fallback_skip_rate, perf.l1_hit_rate,
+          perf.fallback_skip_rate,
           static_cast<unsigned long long>(perf.allocs_per_compile),
           perf.schedule_fingerprint.c_str());
   const auto append_times =

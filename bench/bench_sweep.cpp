@@ -100,7 +100,9 @@ int run_cache_mode(const std::string& dir, int jobs) {
   struct PassResult {
     std::vector<std::int64_t> micros;
     std::vector<std::int64_t> parallel_time;
-    DiskCache::Stats disk;
+    std::int64_t disk_hits = 0;
+    std::int64_t disk_misses = 0;
+    std::int64_t disk_stores = 0;
   };
   const auto run_pass = [&](PassResult& result) {
     result.micros.assign(n, 0);
@@ -121,7 +123,12 @@ int run_cache_mode(const std::string& dir, int jobs) {
                                clock::now() - start)
                                .count();
     });
-    result.disk = disk.stats();
+    MetricsRegistry& tallies = disk.metrics();
+    result.disk_hits = tallies.counter("sbmp_disk_cache_hits_total")->value();
+    result.disk_misses =
+        tallies.counter("sbmp_disk_cache_misses_total")->value();
+    result.disk_stores =
+        tallies.counter("sbmp_disk_cache_stores_total")->value();
   };
 
   PassResult cold;
@@ -147,9 +154,9 @@ int run_cache_mode(const std::string& dir, int jobs) {
                    std::to_string(warm.micros[i]), format_fixed(speedup, 1),
                    match ? "match" : "MISMATCH"});
   }
-  const std::int64_t warm_lookups = warm.disk.hits + warm.disk.misses;
+  const std::int64_t warm_lookups = warm.disk_hits + warm.disk_misses;
   const double hit_rate =
-      warm_lookups > 0 ? 100.0 * static_cast<double>(warm.disk.hits) /
+      warm_lookups > 0 ? 100.0 * static_cast<double>(warm.disk_hits) /
                              static_cast<double>(warm_lookups)
                        : 0.0;
   std::printf(
@@ -160,14 +167,14 @@ int run_cache_mode(const std::string& dir, int jobs) {
       "cold: %lld disk hits, %lld misses, %lld stores\n"
       "warm: %lld disk hits, %lld misses (hit rate %s%%), %lld re-stores\n",
       n, dir.c_str(), table.render().c_str(),
-      static_cast<long long>(cold.disk.hits),
-      static_cast<long long>(cold.disk.misses),
-      static_cast<long long>(cold.disk.stores),
-      static_cast<long long>(warm.disk.hits),
-      static_cast<long long>(warm.disk.misses),
+      static_cast<long long>(cold.disk_hits),
+      static_cast<long long>(cold.disk_misses),
+      static_cast<long long>(cold.disk_stores),
+      static_cast<long long>(warm.disk_hits),
+      static_cast<long long>(warm.disk_misses),
       format_fixed(hit_rate, 1).c_str(),
-      static_cast<long long>(warm.disk.stores));
-  if (warm.disk.hits == 0) {
+      static_cast<long long>(warm.disk_stores));
+  if (warm.disk_hits == 0) {
     // A warm pass that never hit means the persistence layer is broken
     // even if the recompiled results happen to match.
     std::printf("warm pass served zero entries from disk\n");

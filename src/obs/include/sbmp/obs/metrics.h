@@ -13,13 +13,13 @@ namespace sbmp {
 /// Unified metrics API for the whole pipeline (the observability layer's
 /// counterpart to Status for errors).
 ///
-/// Every component that used to keep an ad-hoc statistics struct —
-/// DiskCache::Stats, the ScheduleServer tallies, ResultCache hit/miss —
-/// now ticks instruments owned by a MetricsRegistry and keeps its old
-/// accessor only as a compatibility shim reading those instruments back.
-/// One registry therefore describes a whole process (daemon, CLI run,
-/// bench), can be snapshotted atomically enough for monitoring, and
-/// renders directly to Prometheus text exposition format.
+/// The caches, the caching compiler and the schedule server keep no
+/// tallies of their own: each ticks instruments owned by a
+/// MetricsRegistry (injected, or owned when none was) and readers look
+/// the counters up by name. One registry therefore describes a whole
+/// process (daemon, CLI run, bench), can be snapshotted atomically
+/// enough for monitoring, and renders directly to Prometheus text
+/// exposition format.
 ///
 /// Concurrency contract: instrument handles returned by the registry are
 /// stable for the registry's lifetime and every mutation is a relaxed

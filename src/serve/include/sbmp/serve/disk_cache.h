@@ -34,21 +34,12 @@ class DiskCache {
  public:
   static constexpr const char* kEntrySuffix = ".sbmpsched";
 
-  /// Point-in-time view assembled from the Counter instruments (the
-  /// pre-registry API, kept as a compatibility shim).
-  struct Stats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t stores = 0;
-    std::int64_t evictions = 0;
-    std::int64_t io_errors = 0;
-  };
-
   /// Creates the directory eagerly; a failure is remembered (see
   /// `init_status`) and turns every operation into a counted no-op.
-  /// `metrics` (optional) publishes the tallies as
-  /// `sbmp_disk_cache_*_total` counters on a shared registry; without
-  /// one the cache keeps private instruments.
+  /// The tallies are `sbmp_disk_cache_{hits,misses,stores,evictions,
+  /// io_errors}_total` counters on `metrics` when one is injected,
+  /// otherwise on a registry the cache owns; metrics() returns whichever
+  /// it is.
   DiskCache(std::string dir, std::int64_t max_bytes,
             MetricsRegistry* metrics = nullptr);
 
@@ -63,7 +54,8 @@ class DiskCache {
   /// Deletes the entry (the codec found it corrupt or stale).
   void invalidate(const Fingerprint& key);
 
-  [[nodiscard]] Stats stats() const;
+  /// The registry the tallies live on.
+  [[nodiscard]] MetricsRegistry& metrics() const { return *metrics_; }
   /// Most recent io-level failure; ok() when none occurred.
   [[nodiscard]] Status last_error() const;
   [[nodiscard]] const std::string& directory() const { return dir_; }
@@ -77,10 +69,8 @@ class DiskCache {
   const std::int64_t max_bytes_;
   Status init_status_;
   mutable std::mutex mu_;
-  // Tally instruments: registry-owned when one was injected, otherwise
-  // the private set below. Set once in the constructor.
-  Counter own_hits_, own_misses_, own_stores_, own_evictions_,
-      own_io_errors_;
+  MetricsRegistry own_metrics_;
+  MetricsRegistry* metrics_;  ///< injected registry or &own_metrics_
   Counter* hits_;
   Counter* misses_;
   Counter* stores_;

@@ -144,30 +144,19 @@ inline constexpr std::uint64_t kMaxFramePayload = 64ull << 20;
 // ---------------------------------------------------------------------
 // Daemon introspection (the STAT frames).
 
-/// Aggregate serving statistics. Lives here — not in server.h — because
-/// it is wire format: the daemon encodes it into a kStatResponse and the
-/// client decodes the same typed struct, so both sides share one
-/// definition by construction.
-struct ServerStats {
-  std::int64_t requests = 0;
-  std::int64_t compiles = 0;           ///< actual run_pipeline executions
-  std::int64_t singleflight_joins = 0; ///< requests that rode another's run
-  std::int64_t memory_hits = 0;
-  std::int64_t disk_hits = 0;
-  std::int64_t corrupt_entries = 0;
-};
-
 /// Version of the StatSnapshot payload schema, carried inside the
 /// payload itself (the frame revision covers framing; this covers the
 /// snapshot's field set). Bump when fields change meaning or layout.
-inline constexpr std::int64_t kStatFormatVersion = 1;
+inline constexpr std::int64_t kStatFormatVersion = 2;
 
-/// Everything a kStatResponse carries: the classic server tallies plus
-/// the full metrics snapshot (every counter, gauge and latency histogram
-/// the process registered, including per-phase compile latencies).
+/// Everything a kStatResponse carries: the full metrics snapshot (every
+/// counter, gauge and latency histogram the process registered — the
+/// server's request, compile and cache tallies among them — including
+/// per-phase compile latencies). It lives here, not in server.h, because
+/// it is wire format: the daemon encodes it and the client decodes the
+/// same typed struct.
 struct StatSnapshot {
   std::int64_t version = kStatFormatVersion;
-  ServerStats server;
   MetricsSnapshot metrics;
 };
 

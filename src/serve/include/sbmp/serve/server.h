@@ -54,31 +54,26 @@ class DirectCompiler final : public LoopCompiler {
 /// bytes the cold path would have produced.
 class CachingCompiler final : public LoopCompiler {
  public:
-  /// `metrics` (optional) publishes the compile/corrupt counters on a
-  /// shared registry; without one the compiler keeps private
-  /// instruments. The accessors below read whichever is active.
+  /// Counts `sbmp_compiles_total` (actual run_pipeline executions,
+  /// misses at both cache levels) and `sbmp_codec_corrupt_entries_total`
+  /// (disk entries the codec rejected) on `metrics` when one is
+  /// injected, otherwise on a registry the compiler owns; metrics()
+  /// returns whichever it is.
   CachingCompiler(ResultCache* memory, DiskCache* disk,
                   MetricsRegistry* metrics = nullptr)
       : memory_(memory),
         disk_(disk),
+        metrics_(metrics != nullptr ? metrics : &own_metrics_),
         corrupt_entries_(
-            metrics != nullptr
-                ? metrics->counter("sbmp_codec_corrupt_entries_total")
-                : &own_corrupt_entries_),
-        compiles_(metrics != nullptr
-                      ? metrics->counter("sbmp_compiles_total")
-                      : &own_compiles_) {}
+            metrics_->counter("sbmp_codec_corrupt_entries_total")),
+        compiles_(metrics_->counter("sbmp_compiles_total")) {}
 
   using LoopCompiler::compile;
   [[nodiscard]] LoopReport compile(const Loop& loop,
                                    const PipelineOptions& options) override;
 
-  /// Disk entries rejected by the codec since construction.
-  [[nodiscard]] std::int64_t corrupt_entries() const {
-    return corrupt_entries_->value();
-  }
-  /// Actual run_pipeline executions (misses at both cache levels).
-  [[nodiscard]] std::int64_t compiles() const { return compiles_->value(); }
+  /// The registry the compile and corrupt-entry counters live on.
+  [[nodiscard]] MetricsRegistry& metrics() const { return *metrics_; }
   /// Most recent decode rejection; ok() when none occurred.
   [[nodiscard]] Status last_decode_error() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -89,8 +84,8 @@ class CachingCompiler final : public LoopCompiler {
   ResultCache* memory_;
   DiskCache* disk_;
   mutable std::mutex mu_;
-  Counter own_corrupt_entries_;
-  Counter own_compiles_;
+  MetricsRegistry own_metrics_;
+  MetricsRegistry* metrics_;  ///< injected registry or &own_metrics_
   Counter* corrupt_entries_;
   Counter* compiles_;
   Status last_decode_error_;
@@ -135,10 +130,6 @@ class ScheduleServer {
   [[nodiscard]] std::vector<LoopReport> compile_batch(
       const std::vector<CompileRequest>& requests);
 
-  /// Compatibility shim assembling the classic tallies from the metrics
-  /// registry (the pre-registry API; serve_test runs against it
-  /// unmodified).
-  [[nodiscard]] ServerStats stats() const;
   /// Typed introspection snapshot — the exact payload of a kStatResponse
   /// frame and the source of the Prometheus dump.
   [[nodiscard]] StatSnapshot stat_snapshot() const;

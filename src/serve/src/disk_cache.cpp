@@ -13,21 +13,12 @@ DiskCache::DiskCache(std::string dir, std::int64_t max_bytes,
                      MetricsRegistry* metrics)
     : dir_(std::move(dir)),
       max_bytes_(max_bytes),
-      hits_(metrics != nullptr
-                ? metrics->counter("sbmp_disk_cache_hits_total")
-                : &own_hits_),
-      misses_(metrics != nullptr
-                  ? metrics->counter("sbmp_disk_cache_misses_total")
-                  : &own_misses_),
-      stores_(metrics != nullptr
-                  ? metrics->counter("sbmp_disk_cache_stores_total")
-                  : &own_stores_),
-      evictions_(metrics != nullptr
-                     ? metrics->counter("sbmp_disk_cache_evictions_total")
-                     : &own_evictions_),
-      io_errors_(metrics != nullptr
-                     ? metrics->counter("sbmp_disk_cache_io_errors_total")
-                     : &own_io_errors_) {
+      metrics_(metrics != nullptr ? metrics : &own_metrics_),
+      hits_(metrics_->counter("sbmp_disk_cache_hits_total")),
+      misses_(metrics_->counter("sbmp_disk_cache_misses_total")),
+      stores_(metrics_->counter("sbmp_disk_cache_stores_total")),
+      evictions_(metrics_->counter("sbmp_disk_cache_evictions_total")),
+      io_errors_(metrics_->counter("sbmp_disk_cache_io_errors_total")) {
   init_status_ = ensure_directory(dir_);
   if (!init_status_.ok()) {
     io_errors_->inc();
@@ -115,16 +106,6 @@ void DiskCache::evict_to_cap() {
     total -= e.size;
     evictions_->inc();
   }
-}
-
-DiskCache::Stats DiskCache::stats() const {
-  Stats out;
-  out.hits = hits_->value();
-  out.misses = misses_->value();
-  out.stores = stores_->value();
-  out.evictions = evictions_->value();
-  out.io_errors = io_errors_->value();
-  return out;
 }
 
 Status DiskCache::last_error() const {

@@ -316,12 +316,6 @@ Status split_ints(const std::string& joined, std::vector<std::int64_t>* out) {
 std::string encode_stat_snapshot(const StatSnapshot& snapshot) {
   RecordWriter w;
   w.add_int("version", snapshot.version);
-  w.add_int("requests", snapshot.server.requests);
-  w.add_int("compiles", snapshot.server.compiles);
-  w.add_int("singleflight_joins", snapshot.server.singleflight_joins);
-  w.add_int("memory_hits", snapshot.server.memory_hits);
-  w.add_int("disk_hits", snapshot.server.disk_hits);
-  w.add_int("corrupt_entries", snapshot.server.corrupt_entries);
   w.add_int("samples", static_cast<std::int64_t>(snapshot.metrics.samples.size()));
   for (const MetricSample& sample : snapshot.metrics.samples) {
     w.add_string("name", sample.name);
@@ -346,23 +340,6 @@ Status decode_stat_snapshot(const std::string& payload, StatSnapshot* out) {
                        std::to_string(snapshot.version) +
                        ", this build decodes v" +
                        std::to_string(kStatFormatVersion));
-  if (Status s = r.read_int("requests", &snapshot.server.requests); !s.ok())
-    return s;
-  if (Status s = r.read_int("compiles", &snapshot.server.compiles); !s.ok())
-    return s;
-  if (Status s = r.read_int("singleflight_joins",
-                            &snapshot.server.singleflight_joins);
-      !s.ok())
-    return s;
-  if (Status s = r.read_int("memory_hits", &snapshot.server.memory_hits);
-      !s.ok())
-    return s;
-  if (Status s = r.read_int("disk_hits", &snapshot.server.disk_hits); !s.ok())
-    return s;
-  if (Status s = r.read_int("corrupt_entries",
-                            &snapshot.server.corrupt_entries);
-      !s.ok())
-    return s;
   std::int64_t count = 0;
   if (Status s = r.read_int("samples", &count); !s.ok()) return s;
   if (count < 0 || count > 65536)

@@ -70,7 +70,7 @@ ScheduleServer::ScheduleServer(ServerOptions options)
                 : std::make_unique<DiskCache>(options_.cache_dir,
                                               options_.cache_max_bytes,
                                               metrics_)),
-      memory_(ResultCache::kDefaultShards, metrics_),
+      memory_(metrics_),
       compiler_(&memory_, disk_.get(), metrics_),
       requests_(metrics_->counter("sbmp_server_requests_total")),
       singleflight_joins_(
@@ -161,20 +161,8 @@ CompileResult ScheduleServer::compile(const CompileRequest& request) {
   return out;
 }
 
-ServerStats ScheduleServer::stats() const {
-  ServerStats out;
-  out.requests = requests_->value();
-  out.singleflight_joins = singleflight_joins_->value();
-  out.memory_hits = memory_.hits();
-  out.compiles = compiler_.compiles();
-  out.corrupt_entries = compiler_.corrupt_entries();
-  if (disk_ != nullptr) out.disk_hits = disk_->stats().hits;
-  return out;
-}
-
 StatSnapshot ScheduleServer::stat_snapshot() const {
   StatSnapshot out;
-  out.server = stats();
   out.metrics = metrics_->snapshot();
   return out;
 }

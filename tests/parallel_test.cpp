@@ -10,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sbmp/core/parallel.h"
@@ -102,13 +103,16 @@ TEST(ParallelEngine, CacheDeduplicatesRepeatedRuns) {
   const Program program = perfect_suite().front().program();
   PipelineOptions options;
   ResultCache cache;
+  const Counter* hits = cache.metrics().counter("sbmp_result_cache_hits_total");
+  const Counter* misses =
+      cache.metrics().counter("sbmp_result_cache_misses_total");
   const ProgramReport first = compile_program(program, options, {2}, &cache);
-  const std::int64_t misses_after_first = cache.misses();
+  const std::int64_t misses_after_first = misses->value();
   EXPECT_GT(misses_after_first, 0);
   const ProgramReport second = compile_program(program, options, {2}, &cache);
   // The second pass is served entirely from the cache...
-  EXPECT_EQ(cache.misses(), misses_after_first);
-  EXPECT_GT(cache.hits(), 0);
+  EXPECT_EQ(misses->value(), misses_after_first);
+  EXPECT_GT(hits->value(), 0);
   // ...and is indistinguishable from a fresh computation.
   EXPECT_EQ(render(first), render(second));
 }
@@ -155,9 +159,11 @@ end
   EXPECT_EQ(plain.baseline.parallel_time(), cached.baseline.parallel_time());
   EXPECT_EQ(plain.improved.parallel_time(), cached.improved.parallel_time());
   // A repeat comparison is a pure cache hit with identical results.
-  const std::int64_t misses = cache.misses();
+  const Counter* misses =
+      cache.metrics().counter("sbmp_result_cache_misses_total");
+  const std::int64_t misses_before = misses->value();
   const SchedulerComparison again = compare_schedulers(loop, options, &cache);
-  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(misses->value(), misses_before);
   EXPECT_EQ(again.improved.schedule.groups, cached.improved.schedule.groups);
 }
 
@@ -227,42 +233,6 @@ TEST(ParallelEngine, FailingBatchIsByteIdenticalAcrossJobCounts) {
   }
 }
 
-TEST(ShardedCache, KeysSpreadAcrossShards) {
-  const ResultCache cache;
-  ASSERT_EQ(cache.num_shards(), ResultCache::kDefaultShards);
-  std::vector<int> population(static_cast<std::size_t>(cache.num_shards()), 0);
-  int keys = 0;
-  for (const auto& bench : perfect_suite()) {
-    for (const Loop& loop : bench.program().loops) {
-      for (const auto kind : {SchedulerKind::kList, SchedulerKind::kSyncAware}) {
-        PipelineOptions options;
-        options.scheduler = kind;
-        const int shard = cache.shard_of(ResultCache::key(loop, options));
-        ASSERT_GE(shard, 0);
-        ASSERT_LT(shard, cache.num_shards());
-        ++population[static_cast<std::size_t>(shard)];
-        ++keys;
-      }
-    }
-  }
-  // The exact spread is hash-dependent; what matters is that routing
-  // actually distributes (no single hot shard) and is deterministic.
-  int used = 0;
-  int max_load = 0;
-  for (const int load : population) {
-    if (load > 0) ++used;
-    max_load = std::max(max_load, load);
-  }
-  EXPECT_GE(used, 4) << keys << " keys collapsed onto " << used << " shards";
-  EXPECT_LT(max_load, keys) << "every key routed to one shard";
-  for (const auto& bench : perfect_suite()) {
-    for (const Loop& loop : bench.program().loops) {
-      const std::string key = ResultCache::key(loop, PipelineOptions{});
-      EXPECT_EQ(cache.shard_of(key), cache.shard_of(key));
-    }
-  }
-}
-
 TEST(ShardedCache, RacingInsertsOfOneKeyKeepFirstWinnerEverywhere) {
   ResultCache cache;
   const std::string key = "racing-key";
@@ -299,29 +269,98 @@ TEST(ShardedCache, ConcurrentDistinctInsertsAllLand) {
     ASSERT_NE(hit, nullptr) << "key-" << i;
     EXPECT_EQ(hit->name, "loop-" + std::to_string(i));
   }
-  EXPECT_GT(cache.hits(), 0);
+  EXPECT_GT(cache.metrics().counter("sbmp_result_cache_hits_total")->value(),
+            0);
 }
 
-TEST(ShardedCache, SingleShardCacheIsByteIdenticalAcrossJobCounts) {
-  // Shard count is an internal layout detail: a 1-shard cache (the old
-  // single-mutex table) and the default sharded cache must produce
-  // byte-identical program reports at every job count.
-  PipelineOptions options;
-  options.machine = machines::paper(4, 1);
-  options.iterations = 100;
-  for (const auto& bench : perfect_suite()) {
-    const Program program = bench.program();
-    for (const int jobs : {1, 2, 8}) {
-      ResultCache one(1);
-      ResultCache sharded;
-      const std::string a =
-          render(compile_program(program, options, {jobs}, &one));
-      const std::string b =
-          render(compile_program(program, options, {jobs}, &sharded));
-      EXPECT_EQ(a, b) << bench.name << " diverged at --jobs " << jobs;
-      EXPECT_EQ(one.size(), sharded.size());
-    }
+// A DOACROSS loop whose compile the cache tests below memoize.
+constexpr const char* kCachedLoop = R"(
+doacross I = 1, 100
+  A[I] = A[I-1] + B[I]
+end
+)";
+
+TEST(ResultCacheTest, InsertRaceKeepsTheFirstEntry) {
+  // Four threads computing the same key race insert; all run the same
+  // pure computation, so the losers adopt the winner's report and the
+  // table never holds two entries for one key.
+  const Loop loop = parse_single_loop_or_throw(kCachedLoop);
+  const PipelineOptions options;
+  ResultCache cache;
+  std::vector<std::thread> threads;
+  std::vector<std::int64_t> times(4, -1);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      times[static_cast<std::size_t>(t)] =
+          compile({loop, options}, &cache).report.parallel_time();
+    });
   }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(cache.size(), 1u);
+  for (int t = 1; t < 4; ++t) EXPECT_EQ(times[0], times[t]);
+  MetricsRegistry& tallies = cache.metrics();
+  EXPECT_EQ(tallies.counter("sbmp_result_cache_hits_total")->value() +
+                tallies.counter("sbmp_result_cache_misses_total")->value(),
+            4);
+}
+
+TEST(ResultCacheLayout, RacingInsertsUnderChunkingKeepFirstWinner) {
+  // 4096 racing inserts of one key through the chunked parallel_for
+  // (many chunks, shared pool): exactly one entry may land, and every
+  // racer — whichever chunk it ran in — must be handed that winner.
+  ResultCache cache;
+  constexpr int kInserts = 4096;
+  std::vector<std::shared_ptr<const LoopReport>> returned(kInserts);
+  parallel_for(8, 0, kInserts, [&](std::int64_t i) {
+    LoopReport report;
+    report.name = "insert-" + std::to_string(i);
+    returned[static_cast<std::size_t>(i)] =
+        cache.insert("hot-key", std::move(report));
+  });
+  ASSERT_EQ(cache.size(), 1u);
+  const auto winner = cache.lookup("hot-key");
+  ASSERT_NE(winner, nullptr);
+  for (const auto& entry : returned) {
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry.get(), winner.get());
+  }
+}
+
+TEST(ResultCacheL1, GenerationStampIsolatesLiveInstances) {
+  // A key cached in one instance must never satisfy a lookup against a
+  // different live instance, and each instance counts on its own
+  // registry.
+  const Loop loop = parse_single_loop_or_throw(kCachedLoop);
+  const PipelineOptions options;
+  const std::string key = ResultCache::key(loop, options);
+  ResultCache a;
+  ResultCache b;
+  EXPECT_NE(&a.metrics(), &b.metrics());
+  (void)compile({loop, options}, &a);
+  ASSERT_NE(a.lookup(key), nullptr);
+  EXPECT_EQ(b.lookup(key), nullptr);
+  EXPECT_EQ(b.metrics().counter("sbmp_result_cache_hits_total")->value(), 0);
+}
+
+TEST(ResultCacheL1, RacingLookupsAcrossThreadsAgreeOnTheShardWinner) {
+  // 8 workers hammering one hot key must all see the single
+  // shard-resident entry, and every lookup counts exactly one hit.
+  const Loop loop = parse_single_loop_or_throw(kCachedLoop);
+  const PipelineOptions options;
+  ResultCache cache;
+  const std::string key = ResultCache::key(loop, options);
+  (void)compile({loop, options}, &cache);
+  const auto winner = cache.lookup(key);
+  ASSERT_NE(winner, nullptr);
+  const Counter* hits = cache.metrics().counter("sbmp_result_cache_hits_total");
+  const std::int64_t hits_before = hits->value();
+  parallel_for(8, 0, 512, [&](std::int64_t) {
+    const auto got = cache.lookup(key);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got.get(), winner.get());
+  });
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(hits->value(), hits_before + 512);
 }
 
 // --- Chunked parallel_for on the shared process-wide pool ------------

@@ -226,10 +226,10 @@ TEST(DiskCacheTest, StoreLoadInvalidateRoundTrip) {
   EXPECT_EQ(*hit, "artifact-bytes");
   cache.invalidate(key);
   EXPECT_FALSE(cache.load(key).has_value());
-  const DiskCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.misses, 2);
-  EXPECT_EQ(stats.stores, 1);
+  MetricsRegistry& tallies = cache.metrics();
+  EXPECT_EQ(tallies.counter("sbmp_disk_cache_hits_total")->value(), 1);
+  EXPECT_EQ(tallies.counter("sbmp_disk_cache_misses_total")->value(), 2);
+  EXPECT_EQ(tallies.counter("sbmp_disk_cache_stores_total")->value(), 1);
 }
 
 TEST(DiskCacheTest, PersistsAcrossInstances) {
@@ -260,7 +260,8 @@ TEST(DiskCacheTest, EvictionIsDeterministicOldestFirstThenName) {
   ASSERT_TRUE(touch_file(dir + "/" + a.to_hex() + DiskCache::kEntrySuffix)
                   .ok());
   cache.store(c, payload);
-  EXPECT_GE(cache.stats().evictions, 1);
+  EXPECT_GE(cache.metrics().counter("sbmp_disk_cache_evictions_total")->value(),
+            1);
   EXPECT_TRUE(cache.load(c).has_value());  // newest entry always survives
 }
 
@@ -446,26 +447,30 @@ TEST(CachingCompilerTest, WarmRunIsServedFromDiskAndIdentical) {
 
   LoopReport cold;
   {
-    DiskCache disk(dir, 1 << 20);
-    ResultCache memory;
-    CachingCompiler compiler(&memory, &disk);
+    MetricsRegistry tallies;
+    DiskCache disk(dir, 1 << 20, &tallies);
+    ResultCache memory(&tallies);
+    CachingCompiler compiler(&memory, &disk, &tallies);
     cold = compiler.compile(loop, options);
-    EXPECT_EQ(compiler.compiles(), 1);
-    EXPECT_EQ(disk.stats().stores, 1);
+    EXPECT_EQ(tallies.counter("sbmp_compiles_total")->value(), 1);
+    EXPECT_EQ(tallies.counter("sbmp_disk_cache_stores_total")->value(), 1);
   }
   // Fresh process-equivalent: new in-memory cache over the same dir.
-  DiskCache disk(dir, 1 << 20);
-  ResultCache memory;
-  CachingCompiler compiler(&memory, &disk);
+  MetricsRegistry tallies;
+  DiskCache disk(dir, 1 << 20, &tallies);
+  ResultCache memory(&tallies);
+  CachingCompiler compiler(&memory, &disk, &tallies);
+  const Counter* compiles = tallies.counter("sbmp_compiles_total");
+  const Counter* disk_hits = tallies.counter("sbmp_disk_cache_hits_total");
   const LoopReport warm = compiler.compile(loop, options);
-  EXPECT_EQ(compiler.compiles(), 0);  // never re-ran the pipeline
-  EXPECT_EQ(disk.stats().hits, 1);
+  EXPECT_EQ(compiles->value(), 0);  // never re-ran the pipeline
+  EXPECT_EQ(disk_hits->value(), 1);
   EXPECT_EQ(warm.schedule.groups, cold.schedule.groups);
   EXPECT_EQ(warm.sim.parallel_time, cold.sim.parallel_time);
   // Second call in the same process must come from memory, not disk.
   (void)compiler.compile(loop, options);
-  EXPECT_EQ(disk.stats().hits, 1);
-  EXPECT_EQ(memory.hits(), 1);
+  EXPECT_EQ(disk_hits->value(), 1);
+  EXPECT_EQ(tallies.counter("sbmp_result_cache_hits_total")->value(), 1);
 }
 
 TEST(CachingCompilerTest, CorruptEntryIsAMissNeverACrash) {
@@ -493,8 +498,10 @@ TEST(CachingCompilerTest, CorruptEntryIsAMissNeverACrash) {
   ResultCache memory;
   CachingCompiler compiler(&memory, &disk);
   const LoopReport again = compiler.compile(loop, options);
-  EXPECT_EQ(compiler.compiles(), 1);         // recompiled
-  EXPECT_EQ(compiler.corrupt_entries(), 1);  // and counted the rejection
+  MetricsRegistry& tallies = compiler.metrics();
+  EXPECT_EQ(tallies.counter("sbmp_compiles_total")->value(), 1);  // recompiled
+  // ...and counted the rejection.
+  EXPECT_EQ(tallies.counter("sbmp_codec_corrupt_entries_total")->value(), 1);
   EXPECT_FALSE(compiler.last_decode_error().ok());
   EXPECT_EQ(again.schedule.groups, cold.schedule.groups);
   EXPECT_EQ(again.sim.parallel_time, cold.sim.parallel_time);
@@ -503,7 +510,7 @@ TEST(CachingCompilerTest, CorruptEntryIsAMissNeverACrash) {
   ResultCache memory2;
   CachingCompiler compiler2(&memory2, &disk2);
   (void)compiler2.compile(loop, options);
-  EXPECT_EQ(compiler2.compiles(), 0);
+  EXPECT_EQ(compiler2.metrics().counter("sbmp_compiles_total")->value(), 0);
 }
 
 // --- schedule server -------------------------------------------------
@@ -530,12 +537,15 @@ TEST(ScheduleServerTest, ConcurrentIdenticalRequestsCompileOnce) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(times[0], times[t]);
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, kThreads);
+  MetricsRegistry& tallies = server.metrics();
+  EXPECT_EQ(tallies.counter("sbmp_server_requests_total")->value(), kThreads);
   // Single-flight + memory cache: exactly one pipeline run, every other
   // request either joined the flight or hit the cache.
-  EXPECT_EQ(stats.compiles, 1);
-  EXPECT_EQ(stats.singleflight_joins + stats.memory_hits, kThreads - 1);
+  EXPECT_EQ(tallies.counter("sbmp_compiles_total")->value(), 1);
+  EXPECT_EQ(
+      tallies.counter("sbmp_server_singleflight_joins_total")->value() +
+          tallies.counter("sbmp_result_cache_hits_total")->value(),
+      kThreads - 1);
 }
 
 TEST(ScheduleServerTest, BatchIsOrderStableAndFailureIsolated) {
@@ -663,22 +673,12 @@ TEST(StatProtocol, SnapshotRoundTripsThroughTheWireFormat) {
   h->observe(5000000);
 
   StatSnapshot snapshot;
-  snapshot.server.requests = 7;
-  snapshot.server.compiles = 4;
-  snapshot.server.singleflight_joins = 1;
-  snapshot.server.memory_hits = 2;
-  snapshot.server.disk_hits = 1;
   snapshot.metrics = registry.snapshot();
 
   StatSnapshot back;
   ASSERT_TRUE(
       decode_stat_snapshot(encode_stat_snapshot(snapshot), &back).ok());
   EXPECT_EQ(back.version, kStatFormatVersion);
-  EXPECT_EQ(back.server.requests, 7);
-  EXPECT_EQ(back.server.compiles, 4);
-  EXPECT_EQ(back.server.singleflight_joins, 1);
-  EXPECT_EQ(back.server.memory_hits, 2);
-  EXPECT_EQ(back.server.disk_hits, 1);
   ASSERT_EQ(back.metrics.samples.size(), snapshot.metrics.samples.size());
 
   const MetricSample* hits =
@@ -734,18 +734,13 @@ TEST(ScheduleServerTest, StatSnapshotCountsRequestsAndCacheTraffic) {
   (void)server.compile(loop, options);  // second run: memory-cache hit
   const StatSnapshot snapshot = server.stat_snapshot();
   EXPECT_EQ(snapshot.version, kStatFormatVersion);
-  EXPECT_EQ(snapshot.server.requests, 2);
-  EXPECT_EQ(snapshot.server.compiles, 1);
-  EXPECT_EQ(snapshot.server.memory_hits, 1);
-  // The classic accessor is a shim over the same registry — the two
-  // views can never disagree.
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, snapshot.server.requests);
-  EXPECT_EQ(stats.memory_hits, snapshot.server.memory_hits);
   const MetricSample* requests =
       snapshot.metrics.find("sbmp_server_requests_total");
   ASSERT_NE(requests, nullptr);
   EXPECT_EQ(requests->value, 2);
+  const MetricSample* compiles = snapshot.metrics.find("sbmp_compiles_total");
+  ASSERT_NE(compiles, nullptr);
+  EXPECT_EQ(compiles->value, 1);
   const MetricSample* hits =
       snapshot.metrics.find("sbmp_result_cache_hits_total");
   ASSERT_NE(hits, nullptr);

@@ -548,12 +548,13 @@ TEST(SbmpdDaemon, StatFrameReturnsAVersionedSnapshot) {
   RemoteCompiler client(daemon.socket());
   const StatSnapshot snapshot = client.stat();
   EXPECT_EQ(snapshot.version, kStatFormatVersion);
-  EXPECT_GE(snapshot.server.requests, 1);
-  EXPECT_GE(snapshot.server.compiles, 1);
   const MetricSample* requests =
       snapshot.metrics.find("sbmp_server_requests_total");
   ASSERT_NE(requests, nullptr);
-  EXPECT_EQ(requests->value, snapshot.server.requests);
+  EXPECT_GE(requests->value, 1);
+  const MetricSample* compiles = snapshot.metrics.find("sbmp_compiles_total");
+  ASSERT_NE(compiles, nullptr);
+  EXPECT_GE(compiles->value, 1);
   // Remote compiles feed the same per-phase histograms a local
   // instrumented run would (the daemon attaches its registry).
   const MetricSample* dep =

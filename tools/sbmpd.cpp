@@ -43,8 +43,8 @@
 //                      per-phase compile latency histograms)
 //
 // Introspection: a kStatRequest frame answers with a versioned
-// StatSnapshot (server tallies + the same metrics the Prometheus dump
-// renders); see protocol.h and docs/observability.md.
+// StatSnapshot (the same metrics the Prometheus dump renders, the server
+// tallies among them); see protocol.h and docs/observability.md.
 //
 // Overload behavior (docs/serving.md, "Failure modes & degradation"):
 // every shed is a typed kOverloaded compile-response — clients honor it
@@ -68,6 +68,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "sbmp/obs/metrics.h"
@@ -276,23 +277,28 @@ int run(int argc, char** argv) {
   drain_conns();
   ::unlink(socket_path.c_str());
 
-  const ServerStats stats = server.stats();
+  const MetricsSnapshot tallies = server.metrics().snapshot();
+  // A counter no component registered (disk hits without a cache
+  // directory) reads 0.
+  const auto tally = [&](std::string_view name) {
+    const MetricSample* sample = tallies.find(name);
+    return static_cast<long long>(sample != nullptr ? sample->value : 0);
+  };
   const AdmissionController::Counters admitted = admission.counters();
   std::fprintf(stderr,
                "sbmpd: drained: %lld requests, %lld compiles, %lld memory "
                "hits, %lld disk hits, %lld single-flight joins, %lld corrupt "
                "entries, %lld queued, %lld shed\n",
-               static_cast<long long>(stats.requests),
-               static_cast<long long>(stats.compiles),
-               static_cast<long long>(stats.memory_hits),
-               static_cast<long long>(stats.disk_hits),
-               static_cast<long long>(stats.singleflight_joins),
-               static_cast<long long>(stats.corrupt_entries),
+               tally("sbmp_server_requests_total"),
+               tally("sbmp_compiles_total"),
+               tally("sbmp_result_cache_hits_total"),
+               tally("sbmp_disk_cache_hits_total"),
+               tally("sbmp_server_singleflight_joins_total"),
+               tally("sbmp_codec_corrupt_entries_total"),
                static_cast<long long>(admitted.queued),
                static_cast<long long>(admitted.shed_queue_full +
                                       admitted.shed_timeout));
-  if (metrics_dump)
-    std::fputs(server.metrics().snapshot().to_prometheus().c_str(), stdout);
+  if (metrics_dump) std::fputs(tallies.to_prometheus().c_str(), stdout);
   return exit_code(StatusCode::kOk);
 }
 
