@@ -32,6 +32,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <latch>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,6 +190,13 @@ bool chaos_trial(ScheduleServer& server, const Golden& golden,
 /// requests at an admission-controlled server (max_inflight 1, tiny
 /// queue) so most of the herd must be shed. Every response must decode
 /// to ok-with-golden-bytes or a typed transient status.
+///
+/// A memory-cache hit is served in microseconds, so a herd left to its
+/// own start-up timing may never meet at the gate. The campaign thread
+/// therefore holds the only inflight slot, releases the herd from a
+/// start latch, and gives the slot back only once the controller has
+/// shed a request (or after kHoldLimit, so a gate that never sheds
+/// fails the phase instead of hanging it).
 bool run_overload(const std::vector<Golden>& goldens, OverloadTally& tally) {
   ServerOptions server_options;
   server_options.jobs = 1;
@@ -200,11 +209,15 @@ bool run_overload(const std::vector<Golden>& goldens, OverloadTally& tally) {
 
   const int threads = 8;
   const int per_thread = 25;
+  constexpr auto kHoldLimit = std::chrono::seconds(10);
+  const bool holding = admission.admit(Deadline::infinite()).ok();
+  std::latch start(1);
   std::vector<std::thread> herd;
   std::mutex mu;
   bool violated = false;
   for (int t = 0; t < threads; ++t) {
     herd.emplace_back([&, t] {
+      start.wait();
       OverloadTally local;
       for (int i = 0; i < per_thread; ++i) {
         const Golden& golden =
@@ -251,6 +264,22 @@ bool run_overload(const std::vector<Golden>& goldens, OverloadTally& tally) {
       tally.timeout += local.timeout;
       tally.other += local.other;
     });
+  }
+  start.count_down();
+  if (holding) {
+    const auto give_up = std::chrono::steady_clock::now() + kHoldLimit;
+    for (;;) {
+      const AdmissionController::Counters c = admission.counters();
+      if (c.shed_queue_full + c.shed_timeout > 0 ||
+          std::chrono::steady_clock::now() >= give_up)
+        break;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    admission.release();
+  } else {
+    std::fprintf(stderr, "bench_serve: overload campaign could not take the "
+                         "inflight slot\n");
+    violated = true;
   }
   for (auto& worker : herd) worker.join();
 

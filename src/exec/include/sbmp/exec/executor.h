@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "sbmp/core/pipeline.h"
 #include "sbmp/exec/interp.h"
@@ -85,6 +88,16 @@ struct ExecResult {
 /// byte-identical to run_reference()'s serial program-order
 /// interpretation — verified by verify(), which returns kExecDivergence
 /// on any mismatch. See docs/execution.md.
+///
+/// run() keeps its last *prepared run* — the lowered program, the ops in
+/// schedule order and the seeded initial memory for one (iterations,
+/// memory_seed, max_memory_bytes) — and starts every later run with
+/// those options from a copy of that image, so repeated runs pay for
+/// execution, not input synthesis. An executor therefore holds one input
+/// image, the size of the planned footprint, from its first run() until
+/// a run() with other options replaces it, or until it is destroyed.
+/// Copies share the image, which is never written. run_reference()
+/// never reads it: the oracle lowers and seeds from scratch.
 class LoopExecutor {
  public:
   /// Hard ceiling on worker threads per run.
@@ -98,7 +111,8 @@ class LoopExecutor {
   /// run() echoes this status without starting threads.
   [[nodiscard]] const Status& setup_status() const { return setup_status_; }
 
-  /// DOACROSS execution across options.threads workers.
+  /// DOACROSS execution across options.threads workers. Safe to call
+  /// from several threads at once.
   [[nodiscard]] ExecResult run(const ExecOptions& options) const;
 
   /// Serial program-order interpretation of the same program — the
@@ -112,10 +126,37 @@ class LoopExecutor {
                                      const ExecResult& reference);
 
  private:
+  struct Prepared;
+
+  /// The last prepared run, behind a mutex. A copy shares the image; a
+  /// move takes it without locking, since nothing may use the source of
+  /// a move at the same time. The moves are noexcept, so a vector of
+  /// executors moves them when it grows.
+  struct PreparedSlot {
+    PreparedSlot() = default;
+    PreparedSlot(const PreparedSlot& other);
+    PreparedSlot(PreparedSlot&& other) noexcept
+        : prepared(std::move(other.prepared)) {}
+    PreparedSlot& operator=(const PreparedSlot& other);
+    PreparedSlot& operator=(PreparedSlot&& other) noexcept {
+      prepared = std::move(other.prepared);
+      return *this;
+    }
+
+    mutable std::mutex mu;
+    std::shared_ptr<const Prepared> prepared;
+  };
+
+  /// The prepared run for `options`' key, built (and counted on
+  /// sbmp_exec_prepares_total) when the slot holds another key.
+  [[nodiscard]] std::shared_ptr<const Prepared> prepare(
+      const ExecOptions& options) const;
+
   Loop loop_;
   TacFunction tac_;
   Schedule schedule_;
   Status setup_status_;
+  mutable PreparedSlot prepared_;
 };
 
 }  // namespace sbmp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -48,6 +49,43 @@ struct WorkerTally {
 
 }  // namespace
 
+/// Everything run() derives from the executor and one (iterations,
+/// memory_seed, max_memory_bytes) key before a thread starts. Never
+/// written once built, so runs and copies share it without a lock.
+struct LoopExecutor::Prepared {
+  std::int64_t iterations = 0;
+  std::uint64_t memory_seed = 0;
+  std::int64_t max_memory_bytes = 0;
+  /// A refused build: every run with this key returns it.
+  Status status;
+  ExecProgram program;
+  /// The body in schedule group order; group_ends[g] is the index one
+  /// past group g's last op.
+  OpSequence ordered;
+  std::vector<std::size_t> group_ends;
+  /// The seeded initial memory each run starts from a copy of.
+  ExecMemory memory;
+
+  [[nodiscard]] bool has_key(const ExecOptions& options) const {
+    return iterations == options.iterations &&
+           memory_seed == options.memory_seed &&
+           max_memory_bytes == options.max_memory_bytes;
+  }
+};
+
+LoopExecutor::PreparedSlot::PreparedSlot(const PreparedSlot& other) {
+  std::lock_guard<std::mutex> lock(other.mu);
+  prepared = other.prepared;
+}
+
+LoopExecutor::PreparedSlot& LoopExecutor::PreparedSlot::operator=(
+    const PreparedSlot& other) {
+  if (this == &other) return *this;
+  std::scoped_lock lock(mu, other.mu);
+  prepared = other.prepared;
+  return *this;
+}
+
 LoopExecutor::LoopExecutor(Loop loop, TacFunction tac, Schedule schedule)
     : loop_(std::move(loop)),
       tac_(std::move(tac)),
@@ -80,6 +118,34 @@ LoopExecutor::LoopExecutor(Loop loop, TacFunction tac, Schedule schedule)
 LoopExecutor::LoopExecutor(const LoopReport& report)
     : LoopExecutor(report.loop, report.tac, report.schedule) {}
 
+std::shared_ptr<const LoopExecutor::Prepared> LoopExecutor::prepare(
+    const ExecOptions& options) const {
+  std::lock_guard<std::mutex> lock(prepared_.mu);
+  if (prepared_.prepared != nullptr && prepared_.prepared->has_key(options))
+    return prepared_.prepared;
+  auto built = std::make_shared<Prepared>();
+  built->iterations = options.iterations;
+  built->memory_seed = options.memory_seed;
+  built->max_memory_bytes = options.max_memory_bytes;
+  built->status = ExecProgram::build(tac_, loop_, options.iterations,
+                                     options.memory_seed,
+                                     options.max_memory_bytes, &built->program);
+  if (built->status.ok()) {
+    // Flatten the schedule into group-ordered micro-ops once; workers
+    // then run over one contiguous array per iteration.
+    for (const auto& group : schedule_.groups) {
+      for (const int id : group)
+        built->program.append_ops(id, &built->ordered);
+      built->group_ends.push_back(built->ordered.ops.size());
+    }
+    built->memory = built->program.initial_memory();
+  }
+  if (options.metrics != nullptr)
+    options.metrics->counter("sbmp_exec_prepares_total")->inc();
+  prepared_.prepared = std::move(built);
+  return prepared_.prepared;
+}
+
 ExecResult LoopExecutor::run(const ExecOptions& options) const {
   ExecResult result;
   if (!setup_status_.ok()) {
@@ -94,11 +160,10 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     return result;
   }
 
-  ExecProgram program;
-  result.status =
-      ExecProgram::build(tac_, loop_, options.iterations, options.memory_seed,
-                         options.max_memory_bytes, &program);
+  const std::shared_ptr<const Prepared> prepared = prepare(options);
+  result.status = prepared->status;
   if (!result.status.ok()) return result;
+  const ExecProgram& program = prepared->program;
 
   const std::int64_t n = program.iterations();
   const int threads = static_cast<int>(std::clamp<std::int64_t>(
@@ -109,7 +174,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   if (options.metrics != nullptr)
     options.metrics->counter("sbmp_exec_runs_total")->inc();
 
-  result.memory = program.initial_memory();
+  result.memory = prepared->memory;
   if (n == 0) {
     result.fingerprint = result.memory.fingerprint();
     return result;
@@ -123,19 +188,15 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   SignalBoard board(program.signal_width(), rows);
   result.stats.window = board.rows();
 
-  // Flatten the schedule into group-ordered micro-ops once; workers
-  // then run over one contiguous array per iteration. An iteration
-  // stops only where a per-group spin is modelled: with none it is one
-  // interpreter call, since a call per group costs a fifth of a
-  // 1-worker run on the corpus.
+  // An iteration stops only where a per-group spin is modelled: with
+  // none it is one interpreter call, since a call per group costs a
+  // fifth of a 1-worker run on the corpus.
   const std::int64_t spin_ns = options.spin_ns_per_group;
-  OpSequence ordered;
-  std::vector<std::size_t> stops;
-  for (const auto& group : schedule_.groups) {
-    for (const int id : group) program.append_ops(id, &ordered);
-    if (spin_ns > 0) stops.push_back(ordered.ops.size());
-  }
-  if (spin_ns <= 0) stops.push_back(ordered.ops.size());
+  const OpSequence& ordered = prepared->ordered;
+  const std::size_t body_end = ordered.ops.size();
+  const std::span<const std::size_t> stops =
+      spin_ns > 0 ? std::span<const std::size_t>(prepared->group_ends)
+                  : std::span<const std::size_t>(&body_end, 1);
 
   // Per-worker completion counts, read by the ring-reuse gate. All
   // iterations <= T are complete iff every worker w has completed

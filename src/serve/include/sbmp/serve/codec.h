@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sbmp/core/pipeline.h"
 #include "sbmp/support/hash.h"
@@ -40,6 +41,9 @@ inline constexpr std::int64_t kScheduleCacheFormatVersion = 2;
 /// version.
 [[nodiscard]] Fingerprint schedule_fingerprint(const Loop& loop,
                                                const PipelineOptions& options);
+/// The same fingerprint from `key` = ResultCache::key(loop, options), for
+/// a caller that has already rendered it.
+[[nodiscard]] Fingerprint schedule_fingerprint(std::string_view key);
 
 /// Serializes the cacheable artifacts of `report`. The encoding is
 /// deterministic: byte-equal encodings iff the stored fields are equal,

@@ -71,6 +71,12 @@ class CachingCompiler final : public LoopCompiler {
   using LoopCompiler::compile;
   [[nodiscard]] LoopReport compile(const Loop& loop,
                                    const PipelineOptions& options) override;
+  /// The same compile for a caller that has already rendered `key` =
+  /// ResultCache::key(loop, options); the disk fingerprint derives from
+  /// it, so the key is built once per request.
+  [[nodiscard]] LoopReport compile(const Loop& loop,
+                                   const PipelineOptions& options,
+                                   const std::string& key);
 
   /// The registry the compile and corrupt-entry counters live on.
   [[nodiscard]] MetricsRegistry& metrics() const { return *metrics_; }
@@ -120,6 +126,11 @@ class ScheduleServer {
   /// run_pipeline for loops the pipeline refuses.
   [[nodiscard]] LoopReport compile(const Loop& loop,
                                    const PipelineOptions& options);
+  /// The same compile for a caller that has already rendered `key` =
+  /// ResultCache::key(loop, options).
+  [[nodiscard]] LoopReport compile(const Loop& loop,
+                                   const PipelineOptions& options,
+                                   const std::string& key);
 
   /// Facade form of the single compile: never throws pipeline errors.
   [[nodiscard]] CompileResult compile(const CompileRequest& request);

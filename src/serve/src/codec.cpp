@@ -73,9 +73,13 @@ Fingerprint schedule_fingerprint(const Loop& loop,
   // ResultCache::key already canonicalizes the exact input set of
   // run_pipeline (loop rendering + every semantic option); reusing it
   // here guarantees the in-memory and on-disk caches can never disagree
-  // about which runs are "the same". The version is appended so a format
-  // bump orphans every old entry.
-  std::string data = ResultCache::key(loop, options);
+  // about which runs are "the same".
+  return schedule_fingerprint(ResultCache::key(loop, options));
+}
+
+Fingerprint schedule_fingerprint(std::string_view key) {
+  // The version is appended so a format bump orphans every old entry.
+  std::string data(key);
   data += '\x1e';
   data += "sbmp-cache-v";
   data += std::to_string(kScheduleCacheFormatVersion);

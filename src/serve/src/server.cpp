@@ -31,14 +31,21 @@ LoopReport DirectCompiler::compile(const Loop& loop,
 
 LoopReport CachingCompiler::compile(const Loop& loop,
                                     const PipelineOptions& options) {
-  const std::string key =
-      memory_ != nullptr ? ResultCache::key(loop, options) : std::string();
+  return compile(loop, options,
+                 memory_ != nullptr || disk_ != nullptr
+                     ? ResultCache::key(loop, options)
+                     : std::string());
+}
+
+LoopReport CachingCompiler::compile(const Loop& loop,
+                                    const PipelineOptions& options,
+                                    const std::string& key) {
   if (memory_ != nullptr) {
     if (const auto hit = memory_->lookup(key)) return *hit;
   }
   Fingerprint fp;
   if (disk_ != nullptr) {
-    fp = schedule_fingerprint(loop, options);
+    fp = schedule_fingerprint(key);
     if (const auto payload = disk_->load(fp)) {
       LoopReport report;
       if (Status s = decode_loop_report(*payload, options, fp, &report);
@@ -78,7 +85,12 @@ ScheduleServer::ScheduleServer(ServerOptions options)
 
 LoopReport ScheduleServer::compile(const Loop& loop,
                                    const PipelineOptions& options) {
-  const std::string key = ResultCache::key(loop, options);
+  return compile(loop, options, ResultCache::key(loop, options));
+}
+
+LoopReport ScheduleServer::compile(const Loop& loop,
+                                   const PipelineOptions& options,
+                                   const std::string& key) {
   std::shared_ptr<Inflight> flight;
   bool leader = false;
   requests_->inc();
@@ -115,8 +127,8 @@ LoopReport ScheduleServer::compile(const Loop& loop,
     flight->cv.notify_all();
   };
   try {
-    auto report =
-        std::make_shared<const LoopReport>(compiler_.compile(loop, options));
+    auto report = std::make_shared<const LoopReport>(
+        compiler_.compile(loop, options, key));
     publish(report, Status::okay());
     return *report;
   } catch (const StatusError& e) {

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <string>
 
+#include "sbmp/core/parallel.h"
 #include "sbmp/core/pipeline.h"
 #include "sbmp/serve/codec.h"
 #include "sbmp/serve/protocol.h"
@@ -73,10 +74,11 @@ std::string handle_compile_request(ScheduleServer& server,
   if (status.ok()) {
     try {
       const Loop loop = parse_single_loop_or_throw(loop_source);
-      const LoopReport report = server.compile(loop, options);
+      const std::string key = ResultCache::key(loop, options);
+      const LoopReport report = server.compile(loop, options, key);
       response = encode_compile_response(
           Status::okay(),
-          encode_loop_report(report, schedule_fingerprint(loop, options)));
+          encode_loop_report(report, schedule_fingerprint(key)));
     } catch (const StatusError& e) {
       status = e.status();
     } catch (const SbmpError& e) {

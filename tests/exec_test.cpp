@@ -14,6 +14,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sbmp/core/pipeline.h"
@@ -269,40 +270,47 @@ TEST(Executor, MalformedSyncPayloadIsATypedRefusal) {
   EXPECT_EQ(moved.stats.waits, expected.stats.waits);
 }
 
+/// The paper example with the address of its `op` on `array` at
+/// subscript offset `offset` edited. Codegen computes that address as
+/// `t = I + offset; addr = t << 2`: `skew` is added to the offset and
+/// `shift` replaces the scaling.
+LoopExecutor mutated_address(Opcode op, const std::string& array,
+                             std::int64_t offset, std::int64_t skew,
+                             std::int64_t shift) {
+  return mutated_paper_example([&](TacFunction& tac) {
+    for (const auto& access : tac.instrs) {
+      if (access.op != op || access.array != array ||
+          access.mem_index.offset != offset)
+        continue;
+      for (auto& shl : tac.instrs) {
+        if (shl.dst != access.a.reg) continue;
+        ASSERT_EQ(shl.op, Opcode::kShl);
+        ASSERT_EQ(shl.b.imm, 2);
+        shl.b.imm = shift;
+        for (auto& addi : tac.instrs) {
+          if (addi.dst != shl.a.reg) continue;
+          ASSERT_EQ(addi.op, Opcode::kAddI);
+          addi.b.imm += skew;
+          return;
+        }
+      }
+    }
+    FAIL() << "address computation of " << array << "[I" << offset
+           << "] not found";
+  });
+}
+
 TEST(Executor, RuntimeFaultIsTypedAndReleasesThePeer) {
   // The paper example loads A[I-2] through `t2 = I - 2; t3 = 4 * t2`.
   // Mutating that address computation makes the load fault; the
   // planned extent of A stays [-1, 100], derived from the subscript.
-  const auto edit_address = [](bool misalign) {
-    return mutated_paper_example([misalign](TacFunction& tac) {
-      for (const auto& load : tac.instrs) {
-        if (load.op != Opcode::kLoad || load.array != "A" ||
-            load.mem_index.offset != -2)
-          continue;
-        for (auto& shl : tac.instrs) {
-          if (shl.dst != load.a.reg) continue;
-          ASSERT_EQ(shl.op, Opcode::kShl);
-          if (misalign) {
-            shl.b.imm = 0;  // the byte address loses its scaling
-            return;
-          }
-          for (auto& addi : tac.instrs) {
-            if (addi.dst != shl.a.reg) continue;
-            ASSERT_EQ(addi.op, Opcode::kAddI);
-            addi.b.imm -= 1;  // iteration 0 now reads A[-2]
-            return;
-          }
-        }
-      }
-      FAIL() << "address computation of A[I-2] not found";
-    });
-  };
+  const LoopExecutor skewed = mutated_address(Opcode::kLoad, "A", -2, -1, 2);
+  const LoopExecutor unscaled = mutated_address(Opcode::kLoad, "A", -2, 0, 0);
 
   // Only iteration 0 leaves the extent, so every engine reports the
   // same fault; at 2 workers the peer parks on iteration 0's signal
   // until the failing worker's halt() releases it.
-  const std::vector<std::string> outside =
-      expect_internal(edit_address(false));
+  const std::vector<std::string> outside = expect_internal(skewed);
   ASSERT_EQ(outside.size(), 3u);
   EXPECT_EQ(outside[0],
             "runtime fault at instruction 5, iteration 0: A[-2] outside "
@@ -310,12 +318,11 @@ TEST(Executor, RuntimeFaultIsTypedAndReleasesThePeer) {
   EXPECT_EQ(outside[1], outside[0]);
   EXPECT_EQ(outside[2], outside[0]);
   // The same fault when the run stops after every group to spin.
-  EXPECT_EQ(expect_internal(edit_address(false), 1), outside);
+  EXPECT_EQ(expect_internal(skewed, 1), outside);
 
   // Byte address I - 2 is misaligned at iteration 0 (and at most later
   // ones, so at 2 workers either worker may report first).
-  const std::vector<std::string> misaligned =
-      expect_internal(edit_address(true));
+  const std::vector<std::string> misaligned = expect_internal(unscaled);
   ASSERT_EQ(misaligned.size(), 3u);
   EXPECT_EQ(misaligned[0],
             "runtime fault at instruction 5, iteration 0: misaligned byte "
@@ -327,6 +334,33 @@ TEST(Executor, RuntimeFaultIsTypedAndReleasesThePeer) {
   EXPECT_NE(misaligned[1].find("misaligned byte address"), std::string::npos)
       << misaligned[1];
   EXPECT_EQ(misaligned[2], misaligned[0]);
+}
+
+TEST(Executor, StoreFaultIsTypedAndReleasesThePeer) {
+  // The paper example stores G[I-3] through `t = I - 3; 4 * t`; the
+  // planned extent of G is [-2, 97]. Under each edit below the same
+  // iteration faults first at every worker count, so every engine, with
+  // and without a per-group spin, reports the same fault.
+  const auto expect_one_fault = [](const LoopExecutor& executor,
+                                   const std::string& message) {
+    for (const std::int64_t spin : {0, 1}) {
+      const std::vector<std::string> messages =
+          expect_internal(executor, spin);
+      ASSERT_EQ(messages.size(), 3u);
+      for (const std::string& m : messages)
+        EXPECT_EQ(m, message) << "spin_ns_per_group=" << spin;
+    }
+  };
+  // Offset -4: only iteration 0 (I = 1) stores outside the extent.
+  expect_one_fault(mutated_address(Opcode::kStore, "G", -3, -1, 2),
+                   "runtime fault at instruction 21, iteration 0: G[-3] "
+                   "outside planned extent [-2, 97]");
+  // Scaled by 2, the byte address 2 * (I - 3) is misaligned exactly at
+  // the odd iterations, which all run on the second worker: the first
+  // fault is iteration 1's at every worker count.
+  expect_one_fault(mutated_address(Opcode::kStore, "G", -3, 0, 1),
+                   "runtime fault at instruction 21, iteration 1: "
+                   "misaligned byte address -2");
 }
 
 TEST(Executor, DeterministicAcrossRepeatedRuns) {
@@ -470,6 +504,172 @@ TEST(Executor, MetricsAndTraceInstrumentation) {
   EXPECT_TRUE(saw_run);
   EXPECT_TRUE(saw_wave);
   EXPECT_TRUE(validate_chrome_trace(tracer.to_chrome_json()).ok());
+}
+
+// A LoopExecutor keeps its last prepared run (program, ordered ops,
+// seeded image) keyed by (iterations, memory_seed, max_memory_bytes).
+// Each case below fails on a prepared run that ignores a key field or
+// lets one run's writes reach another run. The paper example would not
+// show the latter: it overwrites every cell it reads before reading it,
+// so a second run over its own output ends in the same state. This loop
+// reads A[I+1] before iteration I+1 overwrites it and adds into B[I].
+constexpr const char* kUpdateInPlace = R"(
+doacross I = 1, 100
+  A[I] = A[I+1] + B[I-1]
+  B[I] = B[I] + A[I]
+end
+)";
+
+/// Runs `options` and expects it to match a serial reference built from
+/// scratch with the same options.
+void expect_matches_reference(const LoopExecutor& executor,
+                              const ExecOptions& options) {
+  const ExecResult result = executor.run(options);
+  const ExecResult reference =
+      LoopExecutor(compile_one(kUpdateInPlace)).run_reference(options);
+  ASSERT_TRUE(result.ok()) << result.status.to_string();
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  EXPECT_EQ(result.stats.iterations, reference.stats.iterations);
+  EXPECT_TRUE(LoopExecutor::verify(result, reference).ok())
+      << "iterations=" << options.iterations
+      << " seed=" << options.memory_seed << ": "
+      << ExecMemory::first_difference(result.memory, reference.memory);
+}
+
+TEST(PreparedRun, EveryKeyChangeRebuildsTheImage) {
+  const LoopExecutor executor(compile_one(kUpdateInPlace));
+  ExecOptions a;
+  a.iterations = 100;
+  a.threads = 2;
+  ExecOptions seed_changed = a;
+  seed_changed.memory_seed ^= 0x5eed;
+  ExecOptions iterations_changed = seed_changed;
+  iterations_changed.iterations = 60;
+  for (const ExecOptions* options :
+       {&a, &seed_changed, &iterations_changed, &a, &iterations_changed})
+    expect_matches_reference(executor, *options);
+}
+
+TEST(PreparedRun, SmallerMemoryCapIsStillRefused) {
+  const LoopExecutor executor(compile_one(kUpdateInPlace));
+  ExecOptions options;
+  options.iterations = 100;
+  expect_matches_reference(executor, options);
+  ExecOptions capped = options;
+  capped.max_memory_bytes = 64;  // far below 2 arrays x ~100 cells
+  for (int round = 0; round < 2; ++round)
+    EXPECT_EQ(executor.run(capped).status.code, StatusCode::kResource)
+        << "round " << round;
+  expect_matches_reference(executor, options);
+}
+
+TEST(PreparedRun, CorruptedResultNeverReachesTheImage) {
+  const LoopExecutor executor(compile_one(kUpdateInPlace));
+  ExecOptions options;
+  options.iterations = 100;
+  const ExecResult reference = executor.run_reference(options);
+  for (const int threads : {1, 2}) {
+    options.threads = threads;
+    options.corrupt_result = true;
+    EXPECT_EQ(LoopExecutor::verify(executor.run(options), reference).code,
+              StatusCode::kExecDivergence);
+    options.corrupt_result = false;
+    const Status clean = LoopExecutor::verify(executor.run(options), reference);
+    EXPECT_TRUE(clean.ok()) << "threads=" << threads << ": "
+                            << clean.to_string();
+  }
+}
+
+TEST(PreparedRun, ConcurrentRunsOnOneExecutorMatchTheReference) {
+  ExecOptions options;
+  options.iterations = 200;
+  options.threads = 2;
+  const ExecResult reference =
+      LoopExecutor(compile_one(kUpdateInPlace)).run_reference(options);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  // A fresh executor per round, so both callers race to prepare it.
+  for (int round = 0; round < 4; ++round) {
+    const LoopExecutor executor(compile_one(kUpdateInPlace));
+    ExecResult results[2];
+    std::thread other([&] { results[1] = executor.run(options); });
+    results[0] = executor.run(options);
+    other.join();
+    for (const ExecResult& result : results) {
+      const Status verdict = LoopExecutor::verify(result, reference);
+      EXPECT_TRUE(verdict.ok()) << "round " << round << ": "
+                                << verdict.to_string();
+    }
+  }
+}
+
+// A growing std::vector of executors moves them only when the move
+// cannot throw; otherwise it copies every program and schedule.
+static_assert(std::is_nothrow_move_constructible_v<LoopExecutor>);
+static_assert(std::is_nothrow_move_assignable_v<LoopExecutor>);
+
+TEST(PreparedRun, CopiedAndMovedExecutorsRunByteIdentically) {
+  ExecOptions options;
+  options.iterations = 100;
+  options.threads = 2;
+  LoopExecutor original(compile_one(kUpdateInPlace));
+  const ExecResult reference = original.run_reference(options);
+  ASSERT_TRUE(original.run(options).ok());  // prepares the image
+  const LoopExecutor copied(original);
+  LoopExecutor assigned(compile_one(kStencil));
+  assigned = original;
+  const LoopExecutor moved(std::move(original));
+  const LoopExecutor* const executors[] = {&copied, &assigned, &moved};
+  for (const LoopExecutor* executor : executors) {
+    const ExecResult result = executor->run(options);
+    ASSERT_TRUE(result.ok()) << result.status.to_string();
+    EXPECT_EQ(result.fingerprint, reference.fingerprint)
+        << ExecMemory::first_difference(result.memory, reference.memory);
+  }
+  // A copy taken before the first run prepares its own image.
+  const LoopExecutor fresh(compile_one(kUpdateInPlace));
+  const LoopExecutor fresh_copy(fresh);
+  options.memory_seed ^= 0x5eed;
+  expect_matches_reference(fresh_copy, options);
+  expect_matches_reference(fresh, options);
+}
+
+TEST(PreparedRun, OneSetOfOptionsPreparesOnce) {
+  const LoopExecutor executor(compile_one(kUpdateInPlace));
+  MetricsRegistry metrics;
+  ExecOptions options;
+  options.iterations = 100;
+  options.metrics = &metrics;
+  const ExecResult reference = executor.run_reference(options);
+  const auto count = [&](const char* name) {
+    const MetricsSnapshot snap = metrics.snapshot();
+    const MetricSample* sample = snap.find(name);
+    return sample == nullptr ? std::int64_t{-1} : sample->value;
+  };
+  // Thread count and per-group spin are not part of the key.
+  int runs = 0;
+  for (const int threads : {1, 2, 4}) {
+    for (const std::int64_t spin : {0, 1}) {
+      options.threads = threads;
+      options.spin_ns_per_group = spin;
+      const ExecResult result = executor.run(options);
+      ++runs;
+      EXPECT_TRUE(LoopExecutor::verify(result, reference).ok())
+          << "threads=" << threads << " spin=" << spin;
+    }
+  }
+  EXPECT_EQ(count("sbmp_exec_runs_total"), runs);
+  EXPECT_EQ(count("sbmp_exec_prepares_total"), 1);
+  // The reference never prepares.
+  (void)executor.run_reference(options);
+  EXPECT_EQ(count("sbmp_exec_prepares_total"), 1);
+  // A refused build is prepared once as well, then replaced.
+  ExecOptions capped = options;
+  capped.max_memory_bytes = 64;
+  (void)executor.run(capped);
+  (void)executor.run(capped);
+  EXPECT_EQ(count("sbmp_exec_prepares_total"), 2);
+  (void)executor.run(options);
+  EXPECT_EQ(count("sbmp_exec_prepares_total"), 3);
 }
 
 // The 8-thread stress case CI runs under TSan: long run, every worker
