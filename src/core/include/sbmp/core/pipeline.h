@@ -39,10 +39,7 @@ struct PipelineOptions {
   /// Run the staleness check on every loop-carried dependence.
   bool check_ordering = false;
   /// Drop waits whose ordering is already implied at the access level
-  /// (the scheduling-safe analysis in sbmp/dfg/redundancy.h). Note this
-  /// is distinct from SyncOptions::eliminate_redundant, whose
-  /// statement-level covering is only sound without instruction
-  /// scheduling.
+  /// (the scheduling-safe analysis in sbmp/dfg/redundancy.h).
   bool eliminate_redundant_waits = false;
   /// Enforce the paper's "never degrades" guarantee for the sync-aware
   /// scheduler: when the heuristic placement simulates slower than plain
@@ -60,9 +57,6 @@ struct PipelineOptions {
   /// and the analytic-vs-simulated cycle cross-check. On by default —
   /// a pipeline that silently mis-synchronizes is worse than a slow one.
   bool validate = true;
-  /// Slack (in cycles) granted to the analytic-vs-simulated
-  /// cross-checks; 0 demands the exact relations.
-  std::int64_t validate_tolerance = 0;
   /// Observability hooks (sbmp/obs): when set, every pipeline phase
   /// (dep → sync → codegen → dfg → schedule → sim → validate) opens a
   /// span on `tracer` and observes its latency on `metrics`, and the
@@ -203,6 +197,18 @@ struct CompileBatchOptions {
                                     const CompileBatchOptions& batch = {},
                                     ResultCache* cache = nullptr);
 
+/// The deterministic front half of the pipeline: dependence analysis,
+/// the refusal of irregular dependences, synchronization insertion,
+/// codegen, the access-level redundant-wait pass (when
+/// options.eliminate_redundant_waits is set) and the DFG. Fills the
+/// `loop`, `deps`, `doall`, `synced`, `tac` and `dfg` members of
+/// `report`, and `waits_eliminated` when the pass runs. run_pipeline
+/// schedules what it builds, and the cache codec rebuilds a stored
+/// report through it. Throws StatusError (code kInput) on an irregular
+/// loop-carried dependence.
+void run_front_half(const Loop& loop, const PipelineOptions& options,
+                    LoopReport& report);
+
 /// Runs the full pipeline on one loop. Throws StatusError (code kInput)
 /// when the loop carries an irregular dependence that the paper's
 /// Wait(S, i-d) scheme cannot synchronize — compiling it anyway would
@@ -223,7 +229,7 @@ struct CompileBatchOptions {
 ///  * analytic-vs-simulated cycle cross-checks: the simulated parallel
 ///    time never beats the analytic lower bound, and an all-LFD
 ///    schedule on >= n processors simulates in exactly the isolated
-///    iteration time (within options.validate_tolerance).
+///    iteration time.
 /// Requires report.dfg and report.sim to be populated (i.e. a report
 /// produced by run_pipeline). Returns human-readable violations.
 [[nodiscard]] std::vector<std::string> validate_pipeline(

@@ -82,14 +82,12 @@ std::string ResultCache::key(const Loop& loop,
   append_int(out, static_cast<int>(options.scheduler));
   append_int(out, options.sync_aware.contiguous_paths ? 1 : 0);
   append_int(out, options.sync_aware.convert_lfd ? 1 : 0);
-  append_int(out, options.sync.eliminate_redundant ? 1 : 0);
   append_int(out, options.iterations);
   append_int(out, options.processors);
   append_int(out, options.check_ordering ? 1 : 0);
   append_int(out, options.eliminate_redundant_waits ? 1 : 0);
   append_int(out, options.never_degrade ? 1 : 0);
   append_int(out, options.validate ? 1 : 0);
-  append_int(out, options.validate_tolerance);
   return out;
 }
 

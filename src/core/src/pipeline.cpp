@@ -170,16 +170,8 @@ void record_loop_observations(Tracer::Span& span, const LoopReport& report,
 
 }  // namespace
 
-LoopReport run_pipeline(const Loop& loop, const PipelineOptions& options) {
-  // Reject malformed machines before any stage reads them: a zero FU
-  // count or non-positive latency would otherwise surface as a hang or
-  // assert deep inside SlotFiller.
-  if (Status status = options.machine.validate(); !status.ok())
-    throw StatusError(std::move(status));
-  Tracer::Span loop_span = Tracer::begin(options.tracer, "pipeline");
-  if (loop_span) loop_span.arg("loop", loop.name);
-  LoopReport report;
-  report.name = loop.name;
+void run_front_half(const Loop& loop, const PipelineOptions& options,
+                    LoopReport& report) {
   report.loop = loop;
   {
     PhaseScope phase(options, "dep");
@@ -226,6 +218,19 @@ LoopReport run_pipeline(const Loop& loop, const PipelineOptions& options) {
       report.dfg.emplace(report.tac, options.machine);
     }
   }
+}
+
+LoopReport run_pipeline(const Loop& loop, const PipelineOptions& options) {
+  // Reject malformed machines before any stage reads them: a zero FU
+  // count or non-positive latency would otherwise surface as a hang or
+  // assert deep inside SlotFiller.
+  if (Status status = options.machine.validate(); !status.ok())
+    throw StatusError(std::move(status));
+  Tracer::Span loop_span = Tracer::begin(options.tracer, "pipeline");
+  if (loop_span) loop_span.arg("loop", loop.name);
+  LoopReport report;
+  report.name = loop.name;
+  run_front_half(loop, options, report);
 
   const std::int64_t iterations = options.resolved_iterations(loop);
   {
@@ -415,27 +420,23 @@ std::vector<std::string> validate_pipeline(const LoopReport& report,
                        lbd_parallel_time(n, pair.distance, send_slot,
                                          wait_slot, iter_time, net));
     }
-    if (sat_add(report.sim.parallel_time, options.validate_tolerance) < bound)
+    if (report.sim.parallel_time < bound)
       complain("simulated parallel time " +
                std::to_string(report.sim.parallel_time) +
                " beats the analytic lower bound " + std::to_string(bound) +
-               " (tolerance " + std::to_string(options.validate_tolerance) +
-               "): the simulation and the model disagree");
+               ": the simulation and the model disagree");
     const int procs = options.processors;
     // A bounded machine signal buffer legitimately stalls even LFD
     // loops (delivery backpressure), so exact-iteration-time equality
     // only holds with the paper's unbounded buffer.
     if (all_lfd && options.machine.signal_buffer_depth == 0 &&
-        (procs <= 0 || procs >= n) &&
-        report.sim.parallel_time >
-            sat_add(iter_time, options.validate_tolerance))
+        (procs <= 0 || procs >= n) && report.sim.parallel_time > iter_time)
       complain("all synchronization pairs are LFD on " +
                std::string(procs <= 0 ? "one processor per iteration"
                                       : "enough processors") +
                ", so the loop must run in the isolated iteration time " +
                std::to_string(iter_time) + ", yet it simulated at " +
-               std::to_string(report.sim.parallel_time) + " (tolerance " +
-               std::to_string(options.validate_tolerance) + ")");
+               std::to_string(report.sim.parallel_time));
   }
   return violations;
 }

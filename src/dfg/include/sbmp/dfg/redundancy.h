@@ -18,10 +18,10 @@ namespace sbmp {
 /// send->wait arcs of the remaining waits.
 ///
 /// This is deliberately stronger than the classic statement-level
-/// covering test (`find_redundant_waits` in sbmp/sync/sync.h): under
-/// free instruction scheduling an unguarded sink load can issue in cycle
-/// 0, so statement-order chains that do not terminate in an arc into the
-/// exact sink access prove nothing. The classic example
+/// covering test (Midkiff/Padua), which is unsound here: under free
+/// instruction scheduling an unguarded sink load can issue in cycle 0,
+/// so statement-order chains that do not terminate in an arc into the
+/// exact sink access prove nothing (EXPERIMENTS.md, correctness). The classic example
 /// `A[I] = A[I-1] + A[I-2]` is NOT reducible here — dropping the d=2
 /// wait lets the A[I-2] load float ahead of the signal — whereas
 /// multi-writer patterns whose covering chain ends in a wait on the same
@@ -38,21 +38,12 @@ namespace sbmp {
 [[nodiscard]] TacFunction remove_waits(const TacFunction& tac,
                                        const std::vector<int>& wait_ids);
 
-/// Convenience: analyze + remove. `removed_count` (optional) reports how
-/// many waits were eliminated. `dfg_out` (optional) always receives the
-/// DFG of the returned TAC: the analysis DFG when nothing was removed
-/// (the TAC is `tac` unchanged), or a freshly built post-removal DFG
-/// otherwise — callers never rebuild one themselves.
-[[nodiscard]] TacFunction eliminate_redundant_waits(
-    const TacFunction& tac, const MachineDesc& config,
-    int* removed_count = nullptr, std::optional<Dfg>* dfg_out = nullptr);
-
-/// Same pass mutating `tac` in place. In the common case — no wait is
-/// redundant — the function touches nothing and the caller pays zero
-/// TAC copies, where the value-returning form above deep-copies the
-/// whole function (instruction strings, guard lists, the scalar-register
-/// map) just to hand it back unchanged. The compile hot path uses this
-/// form; `dfg_out` follows the same always-matches contract.
+/// Analyze + remove, in place. In the common case — no wait is
+/// redundant — `tac` is left untouched and the caller pays no TAC copy.
+/// `removed_count` (optional) reports how many waits were eliminated.
+/// `dfg_out` (optional) always receives the DFG of the resulting TAC:
+/// the analysis DFG when nothing was removed, or a freshly built
+/// post-removal DFG otherwise — callers never rebuild one themselves.
 void eliminate_redundant_waits_inplace(TacFunction& tac,
                                        const MachineDesc& config,
                                        int* removed_count = nullptr,

@@ -222,15 +222,6 @@ TacFunction remove_waits(const TacFunction& tac,
   return out;
 }
 
-TacFunction eliminate_redundant_waits(const TacFunction& tac,
-                                      const MachineDesc& config,
-                                      int* removed_count,
-                                      std::optional<Dfg>* dfg_out) {
-  TacFunction out = tac;
-  eliminate_redundant_waits_inplace(out, config, removed_count, dfg_out);
-  return out;
-}
-
 void eliminate_redundant_waits_inplace(TacFunction& tac,
                                        const MachineDesc& config,
                                        int* removed_count,

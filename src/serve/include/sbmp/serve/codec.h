@@ -15,16 +15,16 @@ namespace sbmp {
 ///
 /// A cached entry does NOT store every LoopReport member. The pipeline
 /// is deterministic in (loop, options), so the cheap front half — parse,
-/// dependence analysis, synchronization insertion, codegen, DFG — is
-/// recomputed on load from the canonical loop source, and only the
-/// expensive, derived artifacts are stored: the schedule, the simulated
-/// cycle counts, and the violation/status verdicts. Recomputing the
-/// front half on load is also what makes the safety contract cheap to
-/// enforce: the decoder re-runs verify_schedule and (when the options
-/// ask for validation) validate_pipeline against the *reconstructed*
-/// state, so a stale or tampered entry whose schedule no longer fits the
-/// loop is rejected as a miss instead of shipping a mis-synchronized
-/// schedule.
+/// then run_front_half (dependence analysis, synchronization insertion,
+/// codegen, redundant-wait pass, DFG) — is recomputed on load from the
+/// canonical loop source, and only the expensive, derived artifacts are
+/// stored: the schedule, the simulated cycle counts, and the
+/// violation/status verdicts. Recomputing the front half on load is also
+/// what makes the safety contract cheap to enforce: the decoder re-runs
+/// verify_schedule and (when the options ask for validation)
+/// validate_pipeline against the *reconstructed* state, so a stale or
+/// tampered entry whose schedule no longer fits the loop is rejected as
+/// a miss instead of shipping a mis-synchronized schedule.
 
 /// Version of the cache entry format AND of everything fingerprinted
 /// into the cache key. Bump it whenever either changes meaning: the
@@ -32,7 +32,7 @@ namespace sbmp {
 /// pipeline stage whose output the cache persists (scheduler, simulator,
 /// sync insertion). A bump orphans old entries (they miss on the
 /// fingerprint), which is exactly the desired invalidation.
-inline constexpr std::int64_t kScheduleCacheFormatVersion = 2;
+inline constexpr std::int64_t kScheduleCacheFormatVersion = 3;
 
 /// Content address of a (loop, options) compile: a 128-bit fingerprint
 /// over the canonical LoopLang rendering of `loop`, every

@@ -29,7 +29,10 @@ namespace sbmp {
 /// options payload with the canonical MachineDesc string (machine
 /// grammar in docs/machines.md), so a pre-MachineDesc peer and a
 /// current one refuse each other at the frame layer instead of
-/// mis-decoding options. A reader that sees "SBM" with a different fourth byte reports
+/// mis-decoding options; revision '5' dropped the statement-level
+/// redundancy flag and the validator's cycle slack from the options
+/// payload and the schedule length from the report (cache format 3).
+/// A reader that sees "SBM" with a different fourth byte reports
 /// a clean version-mismatch Status instead of the generic bad-magic
 /// error, so mixed-version client/daemon pairs fail with an actionable
 /// message rather than a protocol mystery.
@@ -44,7 +47,7 @@ namespace sbmp {
 
 /// Fourth magic byte. Bump whenever a frame type or payload schema
 /// changes incompatibly.
-inline constexpr char kProtocolRevision = '4';
+inline constexpr char kProtocolRevision = '5';
 
 enum class FrameType : std::uint32_t {
   kCompileRequest = 1,

@@ -1,10 +1,10 @@
 #include "sbmp/serve/codec.h"
 
 #include <charconv>
+#include <limits>
 #include <utility>
 
 #include "sbmp/core/parallel.h"
-#include "sbmp/dfg/redundancy.h"
 #include "sbmp/support/serialize.h"
 
 namespace sbmp {
@@ -103,7 +103,6 @@ std::string encode_loop_report(const LoopReport& report,
   w.add_int("sim_parallel_time", report.sim.parallel_time);
   w.add_int("sim_iteration_time", report.sim.iteration_time);
   w.add_int("sim_stall_cycles", report.sim.stall_cycles);
-  w.add_int("sim_schedule_length", report.sim.schedule_length);
   add_string_list(w, "schedule_violation", report.schedule_violations);
   add_string_list(w, "ordering_violation", report.ordering_violations);
   add_string_list(w, "validation_violation", report.validation_violations);
@@ -143,30 +142,19 @@ Status decode_loop_report(const std::string& payload,
   if (Status s = r.read_int("used_list_fallback", &fallback); !s.ok())
     return s;
 
-  // Reconstruct the deterministic front half of the pipeline from the
-  // canonical source. Any exception here means the entry does not
-  // describe a compilable loop — a miss, never a crash.
+  // Rebuild the deterministic front half from the canonical source
+  // through the pipeline's own code, with the observability hooks
+  // cleared so a decode records no compile phase. Any exception here
+  // means the entry does not describe a compilable loop — a miss, never
+  // a crash.
+  PipelineOptions front = options;
+  front.tracer = nullptr;
+  front.metrics = nullptr;
   try {
-    report.loop = parse_single_loop_or_throw(loop_source);
-    report.deps = analyze_dependences(report.loop);
-    if (!report.deps.is_synchronizable())
-      return reject("cached loop is not synchronizable; the pipeline would "
-                    "have refused it");
-    report.synced =
-        insert_synchronization(report.loop, report.deps, options.sync);
-    report.tac = generate_tac(report.synced);
-    if (options.eliminate_redundant_waits) {
-      // dfg_out always matches the returned TAC, so no rebuild here.
-      report.tac = eliminate_redundant_waits(report.tac, options.machine,
-                                             &report.waits_eliminated,
-                                             &report.dfg);
-    } else {
-      report.dfg.emplace(report.tac, options.machine);
-    }
+    run_front_half(parse_single_loop_or_throw(loop_source), front, report);
   } catch (const SbmpError& e) {
     return reject(std::string("cached loop no longer compiles: ") + e.what());
   }
-  report.doall = report.deps.is_doall();
   if (report.doall != (doall != 0))
     return reject("cached doall flag disagrees with dependence analysis");
   if (report.name != report.loop.name)
@@ -214,10 +202,6 @@ Status decode_loop_report(const std::string& payload,
   if (Status s = r.read_int("sim_stall_cycles", &report.sim.stall_cycles);
       !s.ok())
     return s;
-  std::int64_t sched_len = 0;
-  if (Status s = r.read_int("sim_schedule_length", &sched_len); !s.ok())
-    return s;
-  report.sim.schedule_length = static_cast<int>(sched_len);
 
   std::vector<std::string> stored_schedule_viol;
   std::vector<std::string> stored_ordering_viol;
@@ -301,7 +285,6 @@ std::string encode_pipeline_options(const PipelineOptions& options) {
   w.add_int("scheduler", static_cast<int>(options.scheduler));
   w.add_int("contiguous_paths", options.sync_aware.contiguous_paths ? 1 : 0);
   w.add_int("convert_lfd", options.sync_aware.convert_lfd ? 1 : 0);
-  w.add_int("eliminate_redundant", options.sync.eliminate_redundant ? 1 : 0);
   w.add_int("iterations", options.iterations);
   w.add_int("processors", options.processors);
   w.add_int("check_ordering", options.check_ordering ? 1 : 0);
@@ -309,7 +292,6 @@ std::string encode_pipeline_options(const PipelineOptions& options) {
             options.eliminate_redundant_waits ? 1 : 0);
   w.add_int("never_degrade", options.never_degrade ? 1 : 0);
   w.add_int("validate", options.validate ? 1 : 0);
-  w.add_int("validate_tolerance", options.validate_tolerance);
   return w.finish();
 }
 
@@ -338,10 +320,12 @@ Status decode_pipeline_options(const std::string& payload,
   options.sync_aware.contiguous_paths = i != 0;
   if (Status s = read_i("convert_lfd", &i); !s.ok()) return s;
   options.sync_aware.convert_lfd = i != 0;
-  if (Status s = read_i("eliminate_redundant", &i); !s.ok()) return s;
-  options.sync.eliminate_redundant = i != 0;
   if (Status s = read_i("iterations", &options.iterations); !s.ok()) return s;
   if (Status s = read_i("processors", &i); !s.ok()) return s;
+  if (i < std::numeric_limits<int>::min() ||
+      i > std::numeric_limits<int>::max())
+    return reject("processors " + std::to_string(i) +
+                  " is outside the range of int");
   options.processors = static_cast<int>(i);
   if (Status s = read_i("check_ordering", &i); !s.ok()) return s;
   options.check_ordering = i != 0;
@@ -351,9 +335,6 @@ Status decode_pipeline_options(const std::string& payload,
   options.never_degrade = i != 0;
   if (Status s = read_i("validate", &i); !s.ok()) return s;
   options.validate = i != 0;
-  if (Status s = read_i("validate_tolerance", &options.validate_tolerance);
-      !s.ok())
-    return s;
   if (!r.at_end()) return reject("trailing fields in options record");
   *out = std::move(options);
   return Status::okay();

@@ -81,7 +81,6 @@ struct SimResult {
   std::int64_t iteration_time = 0;
   /// Total cycles any group spent stalled beyond in-order issue.
   std::int64_t stall_cycles = 0;
-  int schedule_length = 0;
   /// True when the run stopped early because parallel_time reached
   /// SimOptions::cutoff_time. parallel_time is then a certified lower
   /// bound (>= cutoff) rather than the exact final value, and

@@ -333,7 +333,6 @@ struct SimCore {
   /// final (rows of iterations in (k-window, k] are still available).
   SimResult run(const std::function<void(std::int64_t)>& hook) {
     SimResult result;
-    result.schedule_length = schedule.length();
     const int len = schedule.length();
     const int procs = options.processors;
     const int machine_buffer = std::max(config.signal_buffer_depth, 0);

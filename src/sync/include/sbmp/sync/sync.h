@@ -63,27 +63,19 @@ struct SyncedLoop {
     return unsynchronizable.empty();
   }
   [[nodiscard]] const std::vector<WaitOp> waits_before(int stmt_id) const;
-  /// True if `stmt_id` has a send placed after it.
-  [[nodiscard]] bool has_send(int stmt_id) const;
 
   /// Renders the loop in the paper's Fig 1(b) style.
   [[nodiscard]] std::string to_string() const;
 };
 
-struct SyncOptions {
-  /// Drop waits whose ordering constraint is already enforced
-  /// transitively by the remaining synchronization (Midkiff/Padua-style
-  /// covering analysis over statement execution order). Off by default
-  /// to match the paper's insertion.
-  ///
-  /// CAUTION: statement-level covering is only sound when iterations
-  /// execute their statements in order. Under instruction scheduling an
-  /// unguarded sink load can issue in cycle 0, ahead of any covering
-  /// chain, so a scheduled pipeline must use the access-level analysis
-  /// in sbmp/dfg/redundancy.h (PipelineOptions::eliminate_redundant_waits)
-  /// instead.
-  bool eliminate_redundant = false;
-};
+/// Options for insert_synchronization. Empty: the insertion has no
+/// knobs, and stays a parameter only because clockbench's replay of the
+/// pipeline passes PipelineOptions::sync. Redundant waits are dropped
+/// after codegen, access by access (sbmp/dfg/redundancy.h,
+/// PipelineOptions::eliminate_redundant_waits): a statement-level
+/// covering test is unsound once instructions are scheduled
+/// (EXPERIMENTS.md, correctness).
+struct SyncOptions {};
 
 /// Inserts Send/Wait pairs for every loop-carried constant-distance
 /// dependence of `analysis`. Distinct dependences sharing (source stmt,
@@ -96,13 +88,5 @@ struct SyncOptions {
 /// Convenience overload that runs the dependence analysis itself.
 [[nodiscard]] SyncedLoop insert_synchronization(
     const Loop& loop, const SyncOptions& options = {});
-
-/// Returns the indices (into `synced.waits`) of waits that are redundant
-/// for in-order statement execution: their ordering is implied by
-/// statement program order plus the other waits. See the caveat on
-/// SyncOptions::eliminate_redundant — this is NOT sufficient under
-/// instruction scheduling.
-[[nodiscard]] std::vector<std::size_t> find_redundant_waits(
-    const SyncedLoop& synced);
 
 }  // namespace sbmp

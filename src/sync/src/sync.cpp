@@ -24,12 +24,6 @@ const std::vector<WaitOp> SyncedLoop::waits_before(int stmt_id) const {
   return out;
 }
 
-bool SyncedLoop::has_send(int stmt_id) const {
-  return std::any_of(sends.begin(), sends.end(), [stmt_id](const SendOp& s) {
-    return s.signal_stmt == stmt_id;
-  });
-}
-
 std::string SyncedLoop::to_string() const {
   std::string out = "DOACROSS " + loop.iter_var + " = " +
                     std::to_string(loop.lower) + ", " +
@@ -48,7 +42,7 @@ std::string SyncedLoop::to_string() const {
 
 SyncedLoop insert_synchronization(const Loop& loop,
                                   const DepAnalysis& analysis,
-                                  const SyncOptions& options) {
+                                  const SyncOptions& /*options*/) {
   SyncedLoop out;
   out.loop = loop;
 
@@ -102,19 +96,6 @@ SyncedLoop insert_synchronization(const Loop& loop,
     }
   }
   for (auto& [stmt, send] : sends) out.sends.push_back(std::move(send));
-
-  if (options.eliminate_redundant) {
-    const auto redundant = find_redundant_waits(out);
-    // Erase from the back so indices stay valid.
-    for (auto it = redundant.rbegin(); it != redundant.rend(); ++it)
-      out.waits.erase(out.waits.begin() + static_cast<std::ptrdiff_t>(*it));
-    // Sends whose signal no wait consumes are dead.
-    std::set<int> used;
-    for (const auto& w : out.waits) used.insert(w.signal_stmt);
-    std::erase_if(out.sends, [&](const SendOp& s) {
-      return used.count(s.signal_stmt) == 0;
-    });
-  }
   return out;
 }
 

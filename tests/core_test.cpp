@@ -224,8 +224,6 @@ TEST(ResultCacheTest, KeyCoversEveryOutputAffectingOption) {
       [](PipelineOptions& o) { o.sync_aware.contiguous_paths = false; }));
   EXPECT_TRUE(changes_key(
       [](PipelineOptions& o) { o.sync_aware.convert_lfd = false; }));
-  EXPECT_TRUE(changes_key(
-      [](PipelineOptions& o) { o.sync.eliminate_redundant = true; }));
   EXPECT_TRUE(changes_key([](PipelineOptions& o) { o.iterations = 7; }));
   EXPECT_TRUE(changes_key([](PipelineOptions& o) { o.processors = 3; }));
   EXPECT_TRUE(changes_key([](PipelineOptions& o) { o.check_ordering = true; }));
@@ -233,8 +231,6 @@ TEST(ResultCacheTest, KeyCoversEveryOutputAffectingOption) {
       [](PipelineOptions& o) { o.eliminate_redundant_waits = true; }));
   EXPECT_TRUE(changes_key([](PipelineOptions& o) { o.never_degrade = false; }));
   EXPECT_TRUE(changes_key([](PipelineOptions& o) { o.validate = false; }));
-  EXPECT_TRUE(
-      changes_key([](PipelineOptions& o) { o.validate_tolerance = 5; }));
 
   // The loop text is part of the key too.
   const Loop other = parse_single_loop_or_throw(

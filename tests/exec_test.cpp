@@ -46,6 +46,17 @@ doacross I = 1, 100
 end
 )";
 
+// S3's read of X[I-3] depends on S1 (d=3) and on S2 (d=2); the chain
+// through S2's store covers the d=3 wait, so the access-level pass
+// drops it.
+constexpr const char* kMultiWriter = R"(
+doacross I = 1, 100
+  X[I] = A[I] + 1
+  X[I-1] = B[I] * 2
+  Y[I] = X[I-3] + C[I]
+end
+)";
+
 LoopReport compile_one(const char* source) {
   PipelineOptions options;
   options.machine = machines::paper(4, 1);
@@ -103,6 +114,36 @@ TEST(Executor, StencilRecurrenceMatchesReference) {
     ASSERT_TRUE(result.ok()) << result.status.to_string();
     EXPECT_EQ(result.fingerprint, reference.fingerprint)
         << ExecMemory::first_difference(result.memory, reference.memory);
+  }
+}
+
+TEST(Executor, EliminatedWaitStillMatchesReference) {
+  // Live byte-identity is the soundness oracle of the access-level
+  // redundant-wait pass: the schedule compiled without the covered wait
+  // must leave memory byte-identical to the serial reference.
+  PipelineOptions options;
+  options.machine = machines::paper(4, 1);
+  options.iterations = 100;
+  options.eliminate_redundant_waits = true;
+  const CompileResult compiled =
+      compile({parse_single_loop_or_throw(kMultiWriter), options});
+  ASSERT_TRUE(compiled.ok()) << compiled.report.status.to_string();
+  EXPECT_EQ(compiled.report.waits_eliminated, 1);
+  const LoopExecutor executor(compiled.report);
+  ASSERT_TRUE(executor.setup_status().ok())
+      << executor.setup_status().to_string();
+  ExecOptions exec;
+  exec.iterations = 100;
+  const ExecResult reference = executor.run_reference(exec);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  for (const int threads : {1, 4}) {
+    exec.threads = threads;
+    const ExecResult result = executor.run(exec);
+    ASSERT_TRUE(result.ok()) << result.status.to_string();
+    EXPECT_EQ(ExecMemory::first_difference(result.memory, reference.memory),
+              "")
+        << "threads=" << threads;
+    EXPECT_TRUE(LoopExecutor::verify(result, reference).ok());
   }
 }
 

@@ -121,7 +121,8 @@ std::uint64_t loop_fingerprint(const Loop& loop, const MachineDesc& config) {
 
   for (const int id : find_redundant_wait_instrs(tac, dfg)) h.update_i64(id);
   int removed = 0;
-  const TacFunction reduced = eliminate_redundant_waits(tac, config, &removed);
+  TacFunction reduced = tac;
+  eliminate_redundant_waits_inplace(reduced, config, &removed);
   h.update_i64(removed);
   h.update_i64(reduced.size());
   return h.digest();

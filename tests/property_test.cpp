@@ -60,7 +60,10 @@ TEST_P(SeededTest, SyncInsertionCoversEveryCarriedDep) {
         has_wait = true;
     }
     EXPECT_TRUE(has_wait) << dep.to_string() << "\n" << loop.to_string();
-    EXPECT_TRUE(synced.has_send(dep.src_stmt));
+    bool has_send = false;
+    for (const auto& send : synced.sends)
+      if (send.signal_stmt == dep.src_stmt) has_send = true;
+    EXPECT_TRUE(has_send) << dep.to_string() << "\n" << loop.to_string();
   }
 }
 

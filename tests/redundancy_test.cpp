@@ -3,6 +3,9 @@
 // sufficient once instructions are scheduled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "sbmp/codegen/codegen.h"
 #include "sbmp/core/pipeline.h"
 #include "sbmp/dfg/redundancy.h"
@@ -10,9 +13,44 @@
 namespace sbmp {
 namespace {
 
-TacFunction lower(const char* src, SyncOptions sync = {}) {
-  return generate_tac(
-      insert_synchronization(parse_single_loop_or_throw(src), sync));
+TacFunction lower(const char* src) {
+  return generate_tac(insert_synchronization(parse_single_loop_or_throw(src)));
+}
+
+/// A wait named by (signal statement, sink statement, distance).
+using WaitKey = std::tuple<int, int, std::int64_t>;
+
+/// Compiles `src` without the `covered` waits, dropping every send no
+/// remaining wait consumes, schedules it with `kind`, and returns the
+/// stale reads a 60-iteration simulation shows on the carried
+/// dependences.
+std::vector<std::string> ordering_violations_without(
+    const char* src, const std::vector<WaitKey>& covered, SchedulerKind kind) {
+  const Loop loop = parse_single_loop_or_throw(src);
+  const DepAnalysis deps = analyze_dependences(loop);
+  SyncedLoop synced = insert_synchronization(loop, deps);
+  std::erase_if(synced.waits, [&](const WaitOp& w) {
+    return std::find(covered.begin(), covered.end(),
+                     WaitKey{w.signal_stmt, w.sink_stmt, w.distance}) !=
+           covered.end();
+  });
+  std::erase_if(synced.sends, [&](const SendOp& send) {
+    return std::none_of(synced.waits.begin(), synced.waits.end(),
+                        [&](const WaitOp& w) {
+                          return w.signal_stmt == send.signal_stmt;
+                        });
+  });
+  const MachineDesc machine = machines::paper(4, 1);
+  const TacFunction tac = generate_tac(synced);
+  const Dfg dfg(tac, machine);
+  SimOptions sim;
+  sim.iterations = 60;
+  std::vector<Dependence> carried;
+  for (const auto& dep : deps.deps)
+    if (dep.loop_carried()) carried.push_back(dep);
+  return check_cross_iteration_ordering(
+      tac, dfg, run_scheduler(kind, tac, dfg, machine, sim.iterations),
+      machine, sim, carried);
 }
 
 int count_waits(const TacFunction& tac) {
@@ -65,8 +103,8 @@ doacross I = 1, 100
 end
 )");
   int removed = 0;
-  const TacFunction reduced =
-      eliminate_redundant_waits(tac, machines::paper(4, 1), &removed);
+  TacFunction reduced = tac;
+  eliminate_redundant_waits_inplace(reduced, machines::paper(4, 1), &removed);
   EXPECT_EQ(removed, 1);
   EXPECT_EQ(reduced.size(), tac.size() - 1);
   EXPECT_EQ(count_waits(reduced), count_waits(tac) - 1);
@@ -126,16 +164,9 @@ end
   }
 }
 
-TEST(StatementRedundancy, UnsoundUnderSchedulingDemonstrated) {
-  // Statement-level covering holds for in-order statement execution,
-  // but applying it before instruction scheduling can let a scheduler
-  // hoist an unguarded sink load past the covering chain. (Simple
-  // single-statement cases are often masked by in-order group issue —
-  // anything at or after a slot-0 wait is stall-protected — so this
-  // uses a multi-statement loop, found by the seeded property sweep,
-  // where the hoisted load genuinely reads stale data.) This documents
-  // why the pipeline uses the access-level pass instead.
-  const Loop loop = parse_single_loop_or_throw(R"(
+// A loop found by the seeded property sweep, and the five waits the
+// statement-level (Midkiff/Padua) covering test judged redundant in it.
+constexpr const char* kSixStatements = R"(
 doacross I = 1, 100
   A1[I] = c4 + X2[I-2] + X3[I+2] + A6[I-3]
   A2[I] = A1[I+2] + A5[I-3] + X2[I+3] + 6
@@ -144,32 +175,43 @@ doacross I = 1, 100
   A5[I] = X2[I] * X1[I-3]
   A6[I] = A6[I-2] + A6[I-3] + X4[I+1]
 end
-)");
-  PipelineOptions options;
-  options.sync.eliminate_redundant = true;  // statement-level (unsound here)
-  options.scheduler = SchedulerKind::kSyncAware;
-  options.never_degrade = false;
-  options.iterations = 60;
-  options.check_ordering = true;
-  const LoopReport report = run_pipeline(loop, options);
-  EXPECT_FALSE(report.ordering_violations.empty());
+)";
+const std::vector<WaitKey> kStatementCovered = {
+    {3, 2, 3}, {5, 2, 3}, {2, 4, 3}, {4, 4, 2}, {6, 6, 3}};
+
+TEST(StatementRedundancy, UnsoundUnderSchedulingDemonstrated) {
+  // Statement-level covering holds for in-order statement execution,
+  // but applying it before instruction scheduling can let a scheduler
+  // hoist an unguarded sink load past the covering chain. (Simple
+  // single-statement cases are often masked by in-order group issue —
+  // anything at or after a slot-0 wait is stall-protected — so this
+  // uses a multi-statement loop where the hoisted load genuinely reads
+  // stale data.) This is why the pipeline removes waits only access by
+  // access.
+  EXPECT_TRUE(
+      ordering_violations_without(kSixStatements, {}, SchedulerKind::kSyncAware)
+          .empty());
+  EXPECT_FALSE(ordering_violations_without(kSixStatements, kStatementCovered,
+                                           SchedulerKind::kSyncAware)
+                   .empty());
 }
 
 TEST(StatementRedundancy, SoundForInOrderStatementExecution) {
-  // The same transformation is fine when each iteration executes its
+  // The same removals are fine when each iteration executes its
   // statements in program order: the in-order scheduler keeps the loads
-  // behind the remaining wait because the wait precedes them textually.
-  const Loop loop = parse_single_loop_or_throw(R"(
+  // behind the remaining waits because those precede them textually.
+  EXPECT_TRUE(ordering_violations_without(kSixStatements, kStatementCovered,
+                                          SchedulerKind::kInOrder)
+                  .empty());
+  // In the self-recurrence the d=1 wait, chained twice, covers the d=2
+  // one.
+  EXPECT_TRUE(ordering_violations_without(R"(
 doacross I = 1, 100
   A[I] = A[I-1] + A[I-2]
 end
-)");
-  PipelineOptions options;
-  options.sync.eliminate_redundant = true;
-  options.scheduler = SchedulerKind::kInOrder;
-  options.check_ordering = true;
-  const LoopReport report = run_pipeline(loop, options);
-  EXPECT_TRUE(report.ordering_violations.empty());
+)",
+                                          {{1, 1, 2}}, SchedulerKind::kInOrder)
+                  .empty());
 }
 
 }  // namespace

@@ -331,7 +331,6 @@ TEST(Codec, FingerprintCoversLoopAndEverySemanticOption) {
       differs([](PipelineOptions& o) { o.eliminate_redundant_waits = true; }));
   EXPECT_TRUE(differs([](PipelineOptions& o) { o.never_degrade = false; }));
   EXPECT_TRUE(differs([](PipelineOptions& o) { o.validate = false; }));
-  EXPECT_TRUE(differs([](PipelineOptions& o) { o.validate_tolerance = 3; }));
 }
 
 TEST(Codec, RejectsFingerprintMismatch) {
@@ -394,7 +393,6 @@ TEST(Codec, PipelineOptionsRoundTrip) {
   options.eliminate_redundant_waits = true;
   options.never_degrade = false;
   options.validate = false;
-  options.validate_tolerance = 11;
   PipelineOptions back;
   ASSERT_TRUE(
       decode_pipeline_options(encode_pipeline_options(options), &back).ok());
@@ -438,6 +436,37 @@ TEST(Codec, MalformedMachineDescInOptionsIsATypedError) {
   EXPECT_NE(s.message.find("machine"), std::string::npos) << s.message;
 }
 
+TEST(Codec, OutOfRangeProcessorsInOptionsIsATypedError) {
+  // The wire carries processors as an int64. A value outside int must be
+  // refused, never narrowed: 2^32 + 4 would otherwise decode as P = 4,
+  // and the daemon would compile a different request from the one sent.
+  const auto record = [](std::int64_t processors) {
+    RecordWriter w;
+    w.add_int("version", kScheduleCacheFormatVersion);
+    w.add_string("machine", machines::paper(4, 1).to_string());
+    w.add_int("scheduler", static_cast<int>(SchedulerKind::kSyncAware));
+    w.add_int("contiguous_paths", 1);
+    w.add_int("convert_lfd", 1);
+    w.add_int("iterations", 100);
+    w.add_int("processors", processors);
+    w.add_int("check_ordering", 0);
+    w.add_int("eliminate_redundant_waits", 0);
+    w.add_int("never_degrade", 1);
+    w.add_int("validate", 1);
+    return w.finish();
+  };
+  PipelineOptions back;
+  ASSERT_TRUE(decode_pipeline_options(record(4), &back).ok());
+  EXPECT_EQ(back.processors, 4);
+  constexpr std::int64_t kTwoTo32 = std::int64_t{1} << 32;
+  for (const std::int64_t processors : {kTwoTo32 + 4, -kTwoTo32}) {
+    const Status s = decode_pipeline_options(record(processors), &back);
+    EXPECT_FALSE(s.ok()) << processors;
+    EXPECT_EQ(s.code, StatusCode::kInput);
+    EXPECT_NE(s.message.find("processors"), std::string::npos) << s.message;
+  }
+}
+
 // --- caching compiler ------------------------------------------------
 
 TEST(CachingCompilerTest, WarmRunIsServedFromDiskAndIdentical) {
@@ -471,6 +500,35 @@ TEST(CachingCompilerTest, WarmRunIsServedFromDiskAndIdentical) {
   (void)compiler.compile(loop, options);
   EXPECT_EQ(disk_hits->value(), 1);
   EXPECT_EQ(tallies.counter("sbmp_result_cache_hits_total")->value(), 1);
+}
+
+TEST(CachingCompilerTest, WarmDiskHitRecordsNoCompilePhase) {
+  // A disk hit rebuilds the front half through run_front_half with the
+  // observability hooks cleared: the compile-phase histograms count
+  // compiles, and a decode is not one.
+  const std::string dir = fresh_dir("sbmp_warm_phases");
+  const Loop loop = parse_single_loop_or_throw(kPaperExample);
+  const char* phases[] = {"dep",      "sync", "codegen",  "dfg",
+                          "schedule", "sim",  "fallback", "validate"};
+  {
+    MetricsRegistry tallies;
+    PipelineOptions options = codec_options();
+    options.metrics = &tallies;
+    DiskCache disk(dir, 1 << 20, &tallies);
+    CachingCompiler compiler(nullptr, &disk, &tallies);
+    (void)compiler.compile(loop, options);
+    EXPECT_EQ(compile_phase_histogram(tallies, "dep")->count(), 1);
+  }
+  MetricsRegistry tallies;
+  PipelineOptions options = codec_options();
+  options.metrics = &tallies;
+  DiskCache disk(dir, 1 << 20, &tallies);
+  CachingCompiler compiler(nullptr, &disk, &tallies);
+  const LoopReport warm = compiler.compile(loop, options);
+  ASSERT_TRUE(warm.dfg.has_value());
+  EXPECT_EQ(tallies.counter("sbmp_disk_cache_hits_total")->value(), 1);
+  for (const char* phase : phases)
+    EXPECT_EQ(compile_phase_histogram(tallies, phase)->count(), 0) << phase;
 }
 
 TEST(CachingCompilerTest, CorruptEntryIsAMissNeverACrash) {
@@ -644,20 +702,26 @@ TEST(Protocol, CompileRequestAndResponseRoundTrip) {
 TEST(Protocol, RevisionMismatchIsACleanStatusNamingBothRevisions) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  // A valid frame from a hypothetical revision-'1' build: same "SBM"
-  // prefix, different revision byte. The reader must say which
-  // revisions disagree instead of calling the peer a non-sbmpd.
-  char header[16] = {'S', 'B', 'M', '1', 1, 0, 0, 0,
-                     0,   0,   0,   0,   0, 0, 0, 0};
-  ASSERT_EQ(::write(fds[0], header, sizeof header), 16);
-  Frame frame;
-  const Status s = read_frame(fds[1], &frame);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code, StatusCode::kInput);
-  EXPECT_NE(s.message.find("revision mismatch"), std::string::npos);
-  EXPECT_NE(s.message.find("'1'"), std::string::npos);
-  EXPECT_NE(s.message.find(std::string(1, kProtocolRevision)),
-            std::string::npos);
+  // Valid frames from a hypothetical revision-'1' build and from a
+  // revision-'4' build (whose options record still carried the dropped
+  // fields): same "SBM" prefix, different revision byte. The reader must
+  // say which revisions disagree instead of calling the peer a non-sbmpd.
+  for (const char revision : {'1', '4'}) {
+    char header[16] = {'S', 'B', 'M', revision, 1, 0, 0, 0,
+                       0,   0,   0,   0,        0, 0, 0, 0};
+    ASSERT_EQ(::write(fds[0], header, sizeof header), 16);
+    Frame frame;
+    const Status s = read_frame(fds[1], &frame);
+    EXPECT_FALSE(s.ok());
+    EXPECT_EQ(s.code, StatusCode::kInput);
+    EXPECT_NE(s.message.find("revision mismatch"), std::string::npos);
+    EXPECT_NE(s.message.find(std::string("'") + revision + "'"),
+              std::string::npos)
+        << s.message;
+    EXPECT_NE(s.message.find(std::string("'") + kProtocolRevision + "'"),
+              std::string::npos)
+        << s.message;
+  }
   ::close(fds[0]);
   ::close(fds[1]);
 }

@@ -1,6 +1,6 @@
 // Cross-layer schedule validator tests: pairing integrity, the paper's
 // two synchronization conditions, and the analytic cross-checks, plus
-// the tolerance knob and the PipelineOptions::validate switch.
+// the PipelineOptions::validate switch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,28 +153,9 @@ TEST(ValidatePipeline, SimulatedTimeBelowAnalyticBoundFlagged) {
       run_pipeline(parse_single_loop_or_throw(kFig1), options);
   ASSERT_TRUE(validate_pipeline(report, options).empty());
   // A simulator "beating" the analytic lower bound is impossible for a
-  // correct machine model, so a forged faster time must be flagged...
+  // correct machine model, so a forged faster time must be flagged.
   report.sim.parallel_time = 1;
   EXPECT_FALSE(validate_pipeline(report, options).empty());
-  // ...unless the tolerance grants the gap.
-  PipelineOptions slack = options;
-  slack.validate_tolerance = 1'000'000;
-  EXPECT_TRUE(validate_pipeline(report, slack).empty());
-}
-
-TEST(ValidatePipeline, ToleranceNeverAffectsStructuralChecks) {
-  const PipelineOptions options = paper_options();
-  LoopReport report =
-      run_pipeline(parse_single_loop_or_throw(kFig1), options);
-  ASSERT_TRUE(apply_schedule_mutation(ScheduleMutation::kHoistSend,
-                                      report.tac, report.dfg,
-                                      report.schedule, options.machine));
-  PipelineOptions slack = options;
-  slack.validate_tolerance = 1'000'000;
-  // Tolerance is cycle slack for the analytic cross-checks only; the
-  // sync-condition violations are absolute.
-  EXPECT_TRUE(any_contains(validate_pipeline(report, slack),
-                           "sync condition 1 violated"));
 }
 
 TEST(ValidatePipeline, DisabledValidationSkipsTheChecks) {

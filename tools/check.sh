@@ -29,13 +29,17 @@ ctest --test-dir "$root/build" -L fuzz --output-on-failure -j "$jobs"
 echo "== real-execution smoke (threads vs serial reference) =="
 "$root/build/bench/bench_exec" --check
 
-echo "== non-default machine end-to-end (compile + execute + daemon) =="
+echo "== non-default machine and redundant-wait elimination end-to-end (compile + execute + daemon) =="
 # One machine outside the paper's issue x FU grid (bounded signal
 # buffer, asymmetric FU mix, a 2-cycle load) must travel the
 # whole stack: local compile, real-thread execution, and the canonical
 # desc over the daemon wire with byte-identical output.
 mdesc='issue=8 fu=ls:2,mul:2 lat=load:2,muli:3,mul:3,div:6,*:1 buf=3'
 "$root/build/tools/sbmpc" --machine "$mdesc" --execute "$root/samples/fig1.loop"
+# The access-level redundant-wait pass drops one wait of the multi-writer
+# sample; the reduced schedule must still run on 4 threads to the serial
+# reference's memory.
+"$root/build/tools/sbmpc" --eliminate --execute --execute-threads 4 "$root/samples/multiwriter.loop"
 sock="$(mktemp -u "${TMPDIR:-/tmp}/sbmpd-check-XXXXXX.sock")"
 "$root/build/tools/sbmpd" --socket "$sock" &
 sbmpd_pid=$!
@@ -44,6 +48,11 @@ for _ in $(seq 100); do [[ -S "$sock" ]] && break; sleep 0.1; done
 if ! diff <("$root/build/tools/sbmpc" --machine "$mdesc" "$root/samples/fig1.loop") \
           <("$root/build/tools/sbmpc" --machine "$mdesc" --remote "$sock" "$root/samples/fig1.loop"); then
   echo "daemon round-trip diverged from local compile (machine: $mdesc)" >&2
+  exit 1
+fi
+if ! diff <("$root/build/tools/sbmpc" --eliminate "$root/samples/multiwriter.loop") \
+          <("$root/build/tools/sbmpc" --eliminate --remote "$sock" "$root/samples/multiwriter.loop"); then
+  echo "daemon round-trip diverged from local compile (--eliminate)" >&2
   exit 1
 fi
 kill "$sbmpd_pid" 2>/dev/null || true

@@ -20,7 +20,6 @@
 //   --eliminate        access-level redundant-wait elimination
 //   --validate         run the cross-layer schedule validator (default)
 //   --no-validate      skip the validator
-//   --tolerance N      cycle slack for the validator's analytic checks
 //   --mutate M         deliberately break the schedule's synchronization
 //                      (hoist-send | sink-wait | drop-arc) and report
 //                      whether the validator and fault campaign detect
@@ -153,7 +152,7 @@ struct CliOptions {
                "usage: sbmpc [--machine DESC|@file] [--scheduler S]\n"
                "             [--iterations N] [--processors P] [--compare]\n"
                "             [--check] [--eliminate] [--validate]\n"
-               "             [--no-validate] [--tolerance N] [--mutate M]\n"
+               "             [--no-validate] [--mutate M]\n"
                "             [--dump WHAT] [--jobs N] [--cache-dir DIR]\n"
                "             [--cache-bytes N] [--remote SOCK]\n"
                "             [--io-timeout-ms N] [--deadline-ms N]\n"
@@ -205,8 +204,6 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.pipeline.validate = true;
     } else if (std::strcmp(arg, "--no-validate") == 0) {
       cli.pipeline.validate = false;
-    } else if (std::strcmp(arg, "--tolerance") == 0) {
-      cli.pipeline.validate_tolerance = std::atoll(next_arg(argc, argv, i));
     } else if (std::strcmp(arg, "--mutate") == 0) {
       cli.mutate = parse_mutation(next_arg(argc, argv, i));
       if (!cli.mutate.has_value())
