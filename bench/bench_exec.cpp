@@ -1,7 +1,7 @@
 // bench_exec — predicted-vs-measured harness for the real execution
 // backend (src/exec; see docs/execution.md, "Predicted vs. measured").
 //
-//   bench_exec [--json FILE] [--check] [--iterations N] [--seed S]
+//   bench_exec [--json FILE] [--check FILE] [--iterations N] [--seed S]
 //              [--spin-ns N] [--tolerance F] [--reps N] [--jobs N]
 //
 // Executes the full compile corpus (paper example, stencil, Perfect
@@ -11,7 +11,7 @@
 //  * result correctness — the final memory of every threaded run must
 //    be byte-identical to a serial program-order interpretation. Any
 //    divergence is an invariant violation: it is counted, printed, and
-//    (with --check) fails the run. This is the hard gate.
+//    fails the run. This is the hard gate.
 //  * measured speedup — wall time of the 1-thread run over the
 //    N-thread run (best of --reps repetitions).
 //  * predicted speedup — the cycle-accurate simulator's parallel_time
@@ -25,13 +25,21 @@
 // correctness must hold everywhere. The JSON artifact (BENCH_exec.json,
 // schema sbmp-bench-exec-v1) records both so trajectory tooling can
 // watch the gap.
+//
+// --check FILE compares the run with a recorded artifact: every loop's
+// label, reference state digest, window, sync counts and cycle
+// predictions must equal its row. The host-dependent columns (wall_ns,
+// measured_speedup, flagged) are not compared. A file recorded at other
+// iterations, another seed or another spin is refused with exit 2.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -68,7 +76,7 @@ struct LoopRow {
 
 struct Cli {
   std::string json_path;
-  bool check = false;
+  std::string check_path;  ///< non-empty = compare with this artifact
   std::int64_t iterations = 100;
   std::uint64_t seed = 0x73626d7065786563ull;
   std::int64_t spin_ns = 500;
@@ -224,34 +232,149 @@ std::string to_json(const Cli& cli, const std::vector<LoopRow>& rows,
   return out;
 }
 
+/// The columns of `row` that do not depend on the host, as to_json
+/// writes them.
+std::vector<std::pair<std::string, std::string>> fixed_columns(
+    const LoopRow& row) {
+  std::string state;
+  appendf(state, "%016llx", static_cast<unsigned long long>(row.state));
+  std::string predicted;
+  appendf(predicted, "[%lld, %lld, %lld, %lld]",
+          static_cast<long long>(row.predicted_cycles[0]),
+          static_cast<long long>(row.predicted_cycles[1]),
+          static_cast<long long>(row.predicted_cycles[2]),
+          static_cast<long long>(row.predicted_cycles[3]));
+  return {{"label", row.label},
+          {"state", state},
+          {"window", std::to_string(row.window)},
+          {"sends", std::to_string(row.sends)},
+          {"waits", std::to_string(row.waits)},
+          {"serial_cycles", std::to_string(row.serial_cycles)},
+          {"analytic_cycles", std::to_string(row.analytic_cycles)},
+          {"predicted_cycles", predicted}};
+}
+
+/// The value of `key` in one row object of a recorded artifact: an array
+/// verbatim, a scalar without its quotes.
+bool row_field(const std::string& row, const std::string& key,
+               std::string* out) {
+  const std::string array = "\"" + key + "\": [";
+  const std::size_t at = row.find(array);
+  if (at == std::string::npos) return bench::json_field(row, key, out);
+  const std::size_t close = row.find(']', at);
+  if (close == std::string::npos) return false;
+  *out = row.substr(at + array.size() - 1, close - (at + array.size()) + 2);
+  return true;
+}
+
+/// The artifact at `cli.check_path`, or "" after reporting why it cannot
+/// be compared with this run.
+std::string read_recorded(const Cli& cli) {
+  std::ifstream in(cli.check_path);
+  if (!in) {
+    std::fprintf(stderr, "bench_exec: cannot read %s\n",
+                 cli.check_path.c_str());
+    return "";
+  }
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::pair<const char*, std::string> run_keys[] = {
+      {"iterations", std::to_string(cli.iterations)},
+      {"seed", std::to_string(cli.seed)},
+      {"spin_ns_per_group", std::to_string(cli.spin_ns)}};
+  for (const auto& [key, value] : run_keys) {
+    std::string recorded;
+    if (!bench::json_field(json, key, &recorded) || recorded != value) {
+      std::fprintf(stderr,
+                   "bench_exec: %s records %s '%s', this run uses %s\n",
+                   cli.check_path.c_str(), key, recorded.c_str(),
+                   value.c_str());
+      return "";
+    }
+  }
+  return json;
+}
+
+/// Compares every row's fixed columns with the recorded artifact; prints
+/// each difference and returns how many there were.
+int check_against(const std::string& json, const std::vector<LoopRow>& rows) {
+  std::vector<std::string> recorded;
+  for (std::size_t at = json.find("{\"label\": "); at != std::string::npos;
+       at = json.find("{\"label\": ", at + 1))
+    recorded.push_back(json.substr(at, json.find('}', at) - at));
+  int differences = 0;
+  if (recorded.size() != rows.size()) {
+    std::fprintf(stderr, "bench_exec: CHECK: %zu loops, recorded %zu\n",
+                 rows.size(), recorded.size());
+    ++differences;
+  }
+  for (std::size_t i = 0; i < rows.size() && i < recorded.size(); ++i) {
+    for (const auto& [key, value] : fixed_columns(rows[i])) {
+      std::string was;
+      if (row_field(recorded[i], key, &was) && was == value) continue;
+      std::fprintf(stderr,
+                   "bench_exec: CHECK: loop %zu (%s): %s %s, recorded %s\n",
+                   i, rows[i].label.c_str(), key.c_str(), value.c_str(),
+                   was.c_str());
+      ++differences;
+    }
+  }
+  return differences;
+}
+
+/// Parses all of `text` as a T of at least `min`.
+template <class T>
+bool parse_arg(const char* text, T min, T* out) {
+  T value{};
+  if (!parse_number(text, &value) || !(value >= min)) return false;
+  *out = value;
+  return true;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: bench_exec [--json FILE] [--check FILE] "
+               "[--iterations N] [--seed S] [--spin-ns N] "
+               "[--tolerance F] [--reps N] [--jobs N]\n");
+  return 2;
+}
+
 int run(int argc, char** argv) {
   Cli cli;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    const bool has_value = i + 1 < argc;
+    const auto flag = [&](const char* name) {
+      return has_value && std::strcmp(argv[i], name) == 0;
+    };
+    int jobs = 0;
+    bool ok = true;
+    if (flag("--json")) {
       cli.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      cli.check = true;
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      cli.iterations = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      cli.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--spin-ns") == 0 && i + 1 < argc) {
-      cli.spin_ns = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      cli.tolerance = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      cli.reps = std::atoi(argv[++i]);
-      if (cli.reps < 1) cli.reps = 1;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      ++i;  // accepted for harness-runner uniformity; thread counts are
-            // the experiment variable here
+    } else if (flag("--check")) {
+      cli.check_path = argv[++i];
+    } else if (flag("--iterations")) {
+      ok = parse_arg<std::int64_t>(argv[++i], 0, &cli.iterations);
+    } else if (flag("--seed")) {
+      ok = parse_arg<std::uint64_t>(argv[++i], 0, &cli.seed);
+    } else if (flag("--spin-ns")) {
+      ok = parse_arg<std::int64_t>(argv[++i], 0, &cli.spin_ns);
+    } else if (flag("--tolerance")) {
+      ok = parse_arg(argv[++i], 0.0, &cli.tolerance);
+    } else if (flag("--reps")) {
+      ok = parse_arg(argv[++i], 1, &cli.reps);
+    } else if (flag("--jobs")) {
+      // Accepted for harness-runner uniformity; thread counts are the
+      // experiment variable here.
+      ok = parse_arg(argv[++i], 0, &jobs);
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_exec [--json FILE] [--check] "
-                   "[--iterations N] [--seed S] [--spin-ns N] "
-                   "[--tolerance F] [--reps N]\n");
-      return 2;
+      ok = false;
     }
+    if (!ok) return usage();
+  }
+  std::string recorded;
+  if (!cli.check_path.empty()) {
+    recorded = read_recorded(cli);
+    if (recorded.empty()) return 2;
   }
 
   PipelineOptions options;
@@ -311,8 +434,14 @@ int run(int argc, char** argv) {
                        "reference)"
                      : "FAIL");
   // Like bench_serve, the run IS the gate: result divergence always
-  // exits 1. --check is accepted so the CI invocation names its intent.
-  (void)cli.check;
+  // exits 1, with or without --check.
+  if (!recorded.empty()) {
+    const int differences = check_against(recorded, rows);
+    std::printf("bench_exec: check against %s: %s\n", cli.check_path.c_str(),
+                differences == 0 ? "PASS (every loop matches its row)"
+                                 : "FAIL");
+    if (differences > 0) return 1;
+  }
   return passed ? 0 : 1;
 }
 

@@ -22,8 +22,11 @@
 //
 // Exit code 0 when every invariant held, 1 otherwise. CI runs
 // `bench_serve --chaos 300 --json BENCH_serve.json` and diffs nothing:
-// the run IS the gate; the JSON is an observability artifact (shed /
-// retry / timeout counters beside the perf seeds).
+// the run IS the gate; the JSON is an observability artifact (the chaos
+// counters beside the perf seeds). How the herd splits into successes
+// and sheds depends on host timing, so the JSON records only the
+// overload phase's request count and verdict; stdout prints the split.
+// Two runs with one seed write byte-identical files.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -303,11 +306,11 @@ bool run_overload(const std::vector<Golden>& goldens, OverloadTally& tally) {
 
 std::string to_json(int chaos_trials, std::uint64_t seed,
                     const std::string& fingerprint, const ChaosTally& chaos,
-                    const OverloadTally& overload) {
+                    const OverloadTally& overload, bool overload_passed) {
   std::string out;
   appendf(out,
           "{\n"
-          "  \"schema\": \"sbmp-bench-serve-v1\",\n"
+          "  \"schema\": \"sbmp-bench-serve-v2\",\n"
           "  \"chaos\": {\n"
           "    \"trials\": %d,\n"
           "    \"seed\": %llu,\n"
@@ -321,8 +324,7 @@ std::string to_json(int chaos_trials, std::uint64_t seed,
           "    \"injected\": {\"stalls\": %lld, \"truncations\": %lld, "
           "\"disconnects\": %lld, \"corruptions\": %lld, \"shorts\": %lld}\n"
           "  },\n"
-          "  \"overload\": {\"requests\": %lld, \"ok\": %lld, \"shed\": %lld, "
-          "\"timeout\": %lld},\n"
+          "  \"overload\": {\"requests\": %lld, \"verdict\": \"%s\"},\n"
           "  \"schedule_fingerprint\": \"%s\"\n"
           "}\n",
           chaos_trials, static_cast<unsigned long long>(seed),
@@ -342,9 +344,7 @@ std::string to_json(int chaos_trials, std::uint64_t seed,
           static_cast<long long>(chaos.injected.corruptions),
           static_cast<long long>(chaos.injected.shorts),
           static_cast<long long>(overload.requests),
-          static_cast<long long>(overload.ok),
-          static_cast<long long>(overload.shed),
-          static_cast<long long>(overload.timeout), fingerprint.c_str());
+          overload_passed ? "pass" : "fail", fingerprint.c_str());
   return out;
 }
 
@@ -444,7 +444,8 @@ int run(int argc, char** argv) {
   }
 
   OverloadTally overload;
-  if (!run_overload(goldens, overload)) passed = false;
+  const bool overload_passed = run_overload(goldens, overload);
+  if (!overload_passed) passed = false;
   std::printf(
       "bench_serve: overload: %lld requests — %lld ok, %lld shed, %lld "
       "timed out\n",
@@ -455,7 +456,8 @@ int run(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << to_json(chaos_trials, seed, fingerprint, chaos, overload);
+    out << to_json(chaos_trials, seed, fingerprint, chaos, overload,
+                   overload_passed);
     if (!out.good()) {
       std::fprintf(stderr, "bench_serve: cannot write %s\n",
                    json_path.c_str());

@@ -55,7 +55,10 @@ struct ExecStats {
   int threads = 0;
   /// SignalBoard ring rows (power of two; 0 for reference runs).
   std::int64_t window = 0;
-  std::int64_t sends = 0;          ///< Send_Signal posts
+  /// The schedule's synchronization executions, posted or not: a run
+  /// posts and awaits only the pairs that cross workers, so these are
+  /// the same at every thread count.
+  std::int64_t sends = 0;          ///< Send_Signal executions
   std::int64_t waits = 0;          ///< Wait_Signal with a live partner
   std::int64_t blocked_waits = 0;  ///< signal waits that parked
   std::int64_t gate_blocks = 0;    ///< ring-reuse gate parks
@@ -79,10 +82,12 @@ struct ExecResult {
 /// within an iteration the workers walk the schedule's issue groups in
 /// order, interpreting instruction semantics over a per-worker register
 /// frame and the shared ExecMemory, with Sig/Wat pairs lowered onto the
-/// SignalBoard. A ring-reuse gate delays iteration k until iteration
-/// k - window has fully completed, which both bounds the signal history
-/// (like the simulator's buffer) and guarantees sequence values in a
-/// reused slot only grow.
+/// SignalBoard. A wait whose distance N divides is not posted or
+/// awaited: its source iteration ran earlier on the same worker. A
+/// ring-reuse gate delays iteration k until iteration k - window has
+/// fully completed, which both bounds the signal history (like the
+/// simulator's buffer) and guarantees sequence values in a reused slot
+/// only grow; a run that posts nothing reuses no slot and skips it.
 ///
 /// The differential contract: run() at any thread count produces memory
 /// byte-identical to run_reference()'s serial program-order

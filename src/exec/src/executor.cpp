@@ -41,10 +41,17 @@ void spin_for(std::int64_t ns) {
 /// Per-worker tallies, merged after the join (no shared counters on the
 /// hot path).
 struct WorkerTally {
-  std::int64_t sends = 0;
-  std::int64_t waits = 0;
   std::int64_t blocked_waits = 0;
   std::int64_t gate_blocks = 0;
+};
+
+/// The ops one run interprets, for its worker count.
+struct RunBody {
+  OpSequence sequence;
+  /// group_ends[g] is the index one past group g's last kept op.
+  std::vector<std::size_t> group_ends;
+  /// Some send is left, so the run posts and gates.
+  bool posts = false;
 };
 
 }  // namespace
@@ -63,8 +70,47 @@ struct LoopExecutor::Prepared {
   /// past group g's last op.
   OpSequence ordered;
   std::vector<std::size_t> group_ends;
+  /// The schedule's synchronization executions over the whole run: n
+  /// per send, and max(0, n - d) per wait of distance d. Every run
+  /// reports these, whatever it posts or awaits.
+  std::int64_t sends = 0;
+  std::int64_t waits = 0;
   /// The seeded initial memory each run starts from a copy of.
   ExecMemory memory;
+
+  /// `ordered` for a run on `workers` workers. Worker k mod N runs
+  /// iteration k - d before iteration k whenever N divides d, so its
+  /// program order already orders such a wait's dependence: the body
+  /// drops that wait, and every send no remaining wait reads.
+  [[nodiscard]] RunBody body_for(int workers) const {
+    const auto kept = [workers](const ExecOp& op) {
+      return op.code != OpCode::kWait || op.distance() % workers != 0;
+    };
+    std::vector<char> read(static_cast<std::size_t>(program.signal_width()),
+                           0);
+    for (const ExecOp& op : ordered.ops)
+      if (op.code == OpCode::kWait && kept(op))
+        read[static_cast<std::size_t>(op.dst)] = 1;
+    RunBody body;
+    body.sequence.ops.reserve(ordered.ops.size());
+    body.sequence.ids.reserve(ordered.ids.size());
+    body.group_ends.reserve(group_ends.size());
+    std::size_t i = 0;
+    for (const std::size_t end : group_ends) {
+      for (; i < end; ++i) {
+        const ExecOp& op = ordered.ops[i];
+        if (op.code == OpCode::kSend
+                ? read[static_cast<std::size_t>(op.dst)] == 0
+                : !kept(op))
+          continue;
+        body.posts = body.posts || op.code == OpCode::kSend;
+        body.sequence.ops.push_back(op);
+        body.sequence.ids.push_back(ordered.ids[i]);
+      }
+      body.group_ends.push_back(body.sequence.ops.size());
+    }
+    return body;
+  }
 
   [[nodiscard]] bool has_key(const ExecOptions& options) const {
     return iterations == options.iterations &&
@@ -138,6 +184,14 @@ std::shared_ptr<const LoopExecutor::Prepared> LoopExecutor::prepare(
         built->program.append_ops(id, &built->ordered);
       built->group_ends.push_back(built->ordered.ops.size());
     }
+    const std::int64_t n = built->program.iterations();
+    for (const ExecOp& op : built->ordered.ops) {
+      if (op.code == OpCode::kSend)
+        built->sends = sat_add(built->sends, n);
+      else if (op.code == OpCode::kWait)
+        built->waits = sat_add(built->waits,
+                               std::max<std::int64_t>(n - op.distance(), 0));
+    }
     built->memory = built->program.initial_memory();
   }
   if (options.metrics != nullptr)
@@ -188,14 +242,18 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   SignalBoard board(program.signal_width(), rows);
   result.stats.window = board.rows();
 
+  // A run that posts nothing keeps every dependence on one worker, so
+  // it skips the ring-reuse gate and the done counts.
+  const RunBody body = prepared->body_for(threads);
+  const bool posts = body.posts;
+
   // An iteration stops only where a per-group spin is modelled: with
   // none it is one interpreter call, since a call per group costs a
   // fifth of a 1-worker run on the corpus.
   const std::int64_t spin_ns = options.spin_ns_per_group;
-  const OpSequence& ordered = prepared->ordered;
-  const std::size_t body_end = ordered.ops.size();
+  const std::size_t body_end = body.sequence.ops.size();
   const std::span<const std::size_t> stops =
-      spin_ns > 0 ? std::span<const std::size_t>(prepared->group_ends)
+      spin_ns > 0 ? std::span<const std::size_t>(body.group_ends)
                   : std::span<const std::size_t>(&body_end, 1);
 
   // Per-worker completion counts, read by the ring-reuse gate. All
@@ -223,7 +281,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   const std::int64_t window = board.rows();
   const ExecMemory& memory = result.memory;
   const std::vector<ArrayView> views = array_views(result.memory);
-  const ExecOp* const body = ordered.ops.data();
+  const ExecOp* const ops = body.sequence.ops.data();
   Tracer* const tracer = options.tracer;
 
   const auto worker = [&](int w) {
@@ -249,8 +307,9 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
       }
       // Ring-reuse gate: iteration k may only start once iteration
       // k - window has fully completed, so the signal slot about to be
-      // re-posted has no live readers and slot sequences only grow.
-      if (k >= window) {
+      // re-posted has no live readers and slot sequences only grow. A
+      // run that posts nothing reuses no slot.
+      if (posts && k >= window) {
         const std::int64_t target = k - window;
         const auto outcome = board.hub().await([&] {
           for (int w2 = 0; w2 < threads; ++w2) {
@@ -269,7 +328,6 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
           static_cast<std::uint64_t>(lower) + static_cast<std::uint64_t>(k);
       const auto sync = [&](const ExecOp& op) {
         if (op.code == OpCode::kSend) {
-          ++tally.sends;
           board.post(op.dst, k);
           return true;
         }
@@ -277,7 +335,6 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
         // exist imposes nothing.
         const std::int64_t src = k - op.distance();
         if (src < 0) return true;
-        ++tally.waits;
         const auto outcome = board.await_signal(op.dst, src);
         if (outcome.blocked) ++tally.blocked_waits;
         return outcome.satisfied;
@@ -285,7 +342,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
       const ExecOp* stop = nullptr;
       std::size_t begin = 0;
       for (const std::size_t end : stops) {
-        stop = exec_ops(body + begin, body + end, frame.data(), views.data(),
+        stop = exec_ops(ops + begin, ops + end, frame.data(), views.data(),
                         sync);
         if (stop != nullptr) break;
         if (spin_ns > 0) spin_for(spin_ns);
@@ -294,11 +351,13 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
       if (stop != nullptr) {
         // A refused wait means a peer failed and halted the run.
         if (stop->code != OpCode::kWait)
-          fail(runtime_fault(ordered, *stop, frame.data(), memory, k));
+          fail(runtime_fault(body.sequence, *stop, frame.data(), memory, k));
         return;
       }
-      my_done.store(++completed, std::memory_order_seq_cst);
-      board.hub().wake();
+      if (posts) {
+        my_done.store(++completed, std::memory_order_seq_cst);
+        board.hub().wake();
+      }
     }
   };
 
@@ -340,9 +399,9 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     }
   }
 
+  result.stats.sends = prepared->sends;
+  result.stats.waits = prepared->waits;
   for (const WorkerTally& tally : tallies) {
-    result.stats.sends += tally.sends;
-    result.stats.waits += tally.waits;
     result.stats.blocked_waits += tally.blocked_waits;
     result.stats.gate_blocks += tally.gate_blocks;
   }

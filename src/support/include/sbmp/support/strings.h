@@ -1,7 +1,9 @@
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace sbmp {
@@ -15,6 +17,20 @@ namespace sbmp {
 
 /// True if `s` begins with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
+
+/// Parses all of `text` as a number of type T, within T's range: for an
+/// integer type an optional leading '-' and decimal digits, for a
+/// floating type the std::from_chars general format. Leaves `*out` alone
+/// and returns false otherwise.
+template <class T>
+[[nodiscard]] bool parse_number(std::string_view text, T* out) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || ptr != last) return false;
+  *out = value;
+  return true;
+}
 
 /// Formats `value` with `decimals` digits after the point (locale-free).
 [[nodiscard]] std::string format_fixed(double value, int decimals);

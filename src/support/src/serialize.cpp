@@ -1,8 +1,7 @@
 #include "sbmp/support/serialize.h"
 
-#include <charconv>
-
 #include "sbmp/support/hash.h"
+#include "sbmp/support/strings.h"
 
 namespace sbmp {
 
@@ -13,13 +12,6 @@ constexpr std::string_view kTrailerTag = "end ";
 
 Status corrupt(std::string message) {
   return Status::error(StatusCode::kInput, "serialize", std::move(message));
-}
-
-bool parse_i64(std::string_view text, std::int64_t* out) {
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, *out);
-  return ec == std::errc() && ptr == last;
 }
 
 std::string checksum_hex(std::string_view bytes) {
@@ -104,7 +96,7 @@ Status RecordReader::read_int(std::string_view name, std::int64_t* out) {
   if (line.substr(0, expect.size()) != expect)
     return corrupt("expected int field '" + std::string(name) +
                    "', found line '" + std::string(line.substr(0, 64)) + "'");
-  if (!parse_i64(line.substr(expect.size()), out))
+  if (!parse_number(line.substr(expect.size()), out))
     return corrupt("int field '" + std::string(name) +
                    "' holds a non-integer value");
   return Status::okay();
@@ -118,7 +110,7 @@ Status RecordReader::read_string(std::string_view name, std::string* out) {
     return corrupt("expected string field '" + std::string(name) +
                    "', found line '" + std::string(line.substr(0, 64)) + "'");
   std::int64_t size = 0;
-  if (!parse_i64(line.substr(expect.size()), &size) || size < 0)
+  if (!parse_number(line.substr(expect.size()), &size) || size < 0)
     return corrupt("string field '" + std::string(name) +
                    "' has a malformed byte count");
   const auto bytes = static_cast<std::size_t>(size);

@@ -84,7 +84,12 @@ TEST(Executor, PaperExampleMatchesSerialReferenceAtEveryThreadCount) {
   options.iterations = 100;
   const ExecResult reference = executor.run_reference(options);
   ASSERT_TRUE(reference.ok()) << reference.status.to_string();
-  for (const int threads : {1, 2, 4, 8}) {
+  // The window is sized from the deepest wait and the worker count.
+  const struct {
+    int threads;
+    std::int64_t window;
+  } cases[] = {{1, 4}, {2, 4}, {3, 4}, {4, 8}, {8, 16}};
+  for (const auto& [threads, window] : cases) {
     options.threads = threads;
     const ExecResult result = executor.run(options);
     ASSERT_TRUE(result.ok()) << result.status.to_string();
@@ -94,10 +99,12 @@ TEST(Executor, PaperExampleMatchesSerialReferenceAtEveryThreadCount) {
     EXPECT_TRUE(LoopExecutor::verify(result, reference).ok());
     EXPECT_EQ(result.stats.iterations, 100);
     EXPECT_EQ(result.stats.threads, threads);
-    // The paper example carries real synchronization: every iteration
-    // sends and (once the source iteration exists) waits.
-    EXPECT_GT(result.stats.sends, 0);
-    EXPECT_GT(result.stats.waits, 0);
+    EXPECT_EQ(result.stats.window, window) << "threads=" << threads;
+    // One send, and waits at d = 2 and d = 1 that fire once their source
+    // iteration exists: 100 sends and 98 + 99 waits at every thread
+    // count, whatever a run posts.
+    EXPECT_EQ(result.stats.sends, 100) << "threads=" << threads;
+    EXPECT_EQ(result.stats.waits, 197) << "threads=" << threads;
   }
 }
 
@@ -170,6 +177,79 @@ TEST(Executor, PerGroupSpinLeavesMemoryAndCountsUnchanged) {
     EXPECT_EQ(spun.stats.sends, plain.stats.sends) << "threads=" << threads;
     EXPECT_EQ(spun.stats.waits, plain.stats.waits) << "threads=" << threads;
     EXPECT_EQ(spun.stats.window, plain.stats.window) << "threads=" << threads;
+  }
+}
+
+/// The distances of `report`'s waits, in TAC order.
+std::vector<std::int64_t> wait_distances(const LoopReport& report) {
+  std::vector<std::int64_t> distances;
+  for (const auto& instr : report.tac.instrs)
+    if (instr.op == Opcode::kWait) distances.push_back(instr.sync_distance);
+  return distances;
+}
+
+TEST(Executor, WaitsOfEveryDistanceHoldAtEveryWorkerCount) {
+  // A run on N workers posts and awaits only the waits whose distance N
+  // does not divide. With waits at distances 1, 2, 3, 4 and 6, every N
+  // from 1 to 6 keeps a different set, and N = 5 keeps them all. Each
+  // statement is a recurrence, so one stale read changes the final
+  // state.
+  const LoopReport report = compile_one(R"(
+doacross I = 1, 300
+  A[I] = A[I-1] + X[I]
+  B[I] = B[I-2] + A[I]
+  C[I] = C[I-3] + B[I]
+  D[I] = D[I-4] + C[I]
+  E[I] = E[I-6] + D[I]
+end
+)");
+  std::vector<std::int64_t> distances = wait_distances(report);
+  std::sort(distances.begin(), distances.end());
+  ASSERT_EQ(distances, (std::vector<std::int64_t>{1, 2, 3, 4, 6}));
+  const LoopExecutor executor(report);
+  ExecOptions options;
+  options.iterations = 300;
+  const ExecResult reference = executor.run_reference(options);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  for (int threads = 1; threads <= 6; ++threads) {
+    options.threads = threads;
+    for (int run = 0; run < 8; ++run) {
+      const ExecResult result = executor.run(options);
+      ASSERT_TRUE(result.ok()) << result.status.to_string();
+      ASSERT_EQ(ExecMemory::first_difference(result.memory, reference.memory),
+                "")
+          << "threads=" << threads << " run " << run;
+      ASSERT_TRUE(LoopExecutor::verify(result, reference).ok());
+    }
+  }
+}
+
+TEST(Executor, RunWhoseWaitsStayOnOneWorkerPostsNothing) {
+  // The only wait has distance 2, so at 2 workers iteration k - 2 always
+  // ran on iteration k's worker: the run posts nothing, never parks on a
+  // signal and skips the ring-reuse gate.
+  const LoopReport report = compile_one(R"(
+doacross I = 1, 2000
+  A[I] = A[I-2] + B[I]
+end
+)");
+  ASSERT_EQ(wait_distances(report), (std::vector<std::int64_t>{2}));
+  const LoopExecutor executor(report);
+  ExecOptions options;
+  options.iterations = 2000;
+  options.threads = 2;
+  const ExecResult reference = executor.run_reference(options);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  for (int run = 0; run < 8; ++run) {
+    const ExecResult result = executor.run(options);
+    ASSERT_TRUE(result.ok()) << result.status.to_string();
+    EXPECT_EQ(ExecMemory::first_difference(result.memory, reference.memory),
+              "")
+        << "run " << run;
+    EXPECT_EQ(result.stats.gate_blocks, 0) << "run " << run;
+    EXPECT_EQ(result.stats.blocked_waits, 0) << "run " << run;
+    EXPECT_EQ(result.stats.sends, 2000);
+    EXPECT_EQ(result.stats.waits, 1998);
   }
 }
 
@@ -962,7 +1042,7 @@ TEST_P(ExecFuzz, GeneratedLoopsExecuteByteIdenticalToReference) {
       0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(GetParam());
   const ExecResult reference = executor.run_reference(exec_options);
   ASSERT_TRUE(reference.ok()) << reference.status.to_string();
-  for (const int threads : {1, 3, 8}) {
+  for (const int threads : {1, 2, 3, 8}) {
     exec_options.threads = threads;
     const ExecResult result = executor.run(exec_options);
     ASSERT_TRUE(result.ok()) << result.status.to_string();

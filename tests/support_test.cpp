@@ -45,6 +45,26 @@ TEST(Strings, StartsWith) {
   EXPECT_FALSE(starts_with("do", "doacross"));
 }
 
+TEST(Strings, ParseNumberTakesTheWholeTextInRange) {
+  int i = 7;
+  EXPECT_TRUE(parse_number("-12", &i));
+  EXPECT_EQ(i, -12);
+  EXPECT_TRUE(parse_number("2147483647", &i));
+  EXPECT_EQ(i, std::numeric_limits<int>::max());
+  // Each of these leaves the value untouched.
+  for (const char* bad : {"", "abc", "2x", " 5", "+5", "4294967297", "1.5"})
+    EXPECT_FALSE(parse_number(bad, &i)) << "'" << bad << "'";
+  EXPECT_EQ(i, std::numeric_limits<int>::max());
+  std::uint64_t u = 0;
+  EXPECT_FALSE(parse_number("-1", &u));
+  EXPECT_TRUE(parse_number("18446744073709551615", &u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  double d = 0.0;
+  EXPECT_TRUE(parse_number("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_FALSE(parse_number("0.25x", &d));
+}
+
 TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(-1.0, 0), "-1");

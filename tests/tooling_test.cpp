@@ -218,6 +218,10 @@ TEST(SbmpcExitCodes, BadFlagsAreUsageErrors) {
   EXPECT_EQ(run_sbmpc("--no-such-flag"), 2);
   EXPECT_EQ(run_sbmpc("--mutate melt-cpu " + fig1_path()), 2);
   EXPECT_EQ(run_sbmpc(""), 2);  // no inputs
+  // A numeric flag takes its whole argument or nothing: atoi read these
+  // as the trip count and as P = 2.
+  EXPECT_EQ(run_sbmpc("--iterations abc " + fig1_path()), 2);
+  EXPECT_EQ(run_sbmpc("--processors 2x " + fig1_path()), 2);
 }
 
 TEST(SbmpcExitCodes, DetectedMutationsExitValidation) {
@@ -247,6 +251,8 @@ TEST(SbmpcExitCodes, ExecuteResourceRefusalIsTyped) {
   // refusal, not a clamp or a crash.
   EXPECT_EQ(run_sbmpc("--execute-threads 0 " + fig1_path()), 2);
   EXPECT_EQ(run_sbmpc("--execute-threads 513 " + fig1_path()), 10);
+  // Outside int, not wrapped to 1 thread.
+  EXPECT_EQ(run_sbmpc("--execute-threads 4294967297 " + fig1_path()), 2);
 }
 
 TEST(SbmpcExitCodes, OneBadFileInABatchStillRendersTheRest) {

@@ -27,7 +27,7 @@ echo "== fuzz sweep (SBMP_FUZZ_SEEDS=${SBMP_FUZZ_SEEDS:-25}) =="
 ctest --test-dir "$root/build" -L fuzz --output-on-failure -j "$jobs"
 
 echo "== real-execution smoke (threads vs serial reference) =="
-"$root/build/bench/bench_exec" --check
+"$root/build/bench/bench_exec" --check "$root/BENCH_exec.json"
 
 echo "== non-default machine and redundant-wait elimination end-to-end (compile + execute + daemon) =="
 # One machine outside the paper's issue x FU grid (bounded signal

@@ -74,7 +74,8 @@
 // docs/serving.md):
 //   0  success
 //   1  input diagnostics (parse/open/restructure failures)
-//   2  usage error
+//   2  usage error (an unknown flag, or a numeric value that is not a
+//      whole integer in the flag's range)
 //   3  validation failure (a schedule failed the validator or the
 //      fault-injection oracle; includes every --mutate detection)
 //   4  internal error
@@ -93,6 +94,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -169,6 +171,22 @@ const char* next_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+/// The value of the numeric flag at argv[i]: all of the next argument as
+/// an integer of type T, at least `min`. Anything else is a usage error,
+/// so a typo never silently changes the experiment.
+template <class T>
+T int_arg(int argc, char** argv, int& i, T min) {
+  const std::string flag = argv[i];
+  const char* text = next_arg(argc, argv, i);
+  T value{};
+  if (!parse_number(text, &value) || value < min)
+    usage((flag + " wants an integer in [" + std::to_string(min) + ", " +
+           std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+           text + "'")
+              .c_str());
+  return value;
+}
+
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions cli;
   std::string machine_text;
@@ -191,9 +209,9 @@ CliOptions parse_cli(int argc, char** argv) {
         usage("unknown scheduler");
       }
     } else if (std::strcmp(arg, "--iterations") == 0) {
-      cli.pipeline.iterations = std::atoll(next_arg(argc, argv, i));
+      cli.pipeline.iterations = int_arg<std::int64_t>(argc, argv, i, 0);
     } else if (std::strcmp(arg, "--processors") == 0) {
-      cli.pipeline.processors = std::atoi(next_arg(argc, argv, i));
+      cli.pipeline.processors = int_arg(argc, argv, i, 0);
     } else if (std::strcmp(arg, "--compare") == 0) {
       cli.compare = true;
     } else if (std::strcmp(arg, "--check") == 0) {
@@ -209,24 +227,21 @@ CliOptions parse_cli(int argc, char** argv) {
       if (!cli.mutate.has_value())
         usage("unknown mutation (hoist-send | sink-wait | drop-arc)");
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      cli.jobs = std::atoi(next_arg(argc, argv, i));
+      cli.jobs = int_arg(argc, argv, i, 0);
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       cli.cache_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-bytes") == 0) {
-      cli.cache_max_bytes = std::atoll(next_arg(argc, argv, i));
-      if (cli.cache_max_bytes < 0)
-        usage("--cache-bytes must be non-negative");
+      cli.cache_max_bytes = int_arg<std::int64_t>(argc, argv, i, 0);
     } else if (std::strcmp(arg, "--remote") == 0) {
       cli.remote_socket = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--io-timeout-ms") == 0) {
-      cli.io_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      cli.io_timeout_ms = int_arg<std::int64_t>(argc, argv, i, 0);
     } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      cli.deadline_ms = std::atoll(next_arg(argc, argv, i));
+      cli.deadline_ms = int_arg<std::int64_t>(argc, argv, i, 0);
     } else if (std::strcmp(arg, "--retries") == 0) {
-      cli.retries = std::atoi(next_arg(argc, argv, i));
-      if (cli.retries < 1) usage("--retries must be at least 1");
+      cli.retries = int_arg(argc, argv, i, 1);
     } else if (std::strcmp(arg, "--retry-backoff-ms") == 0) {
-      cli.retry_backoff_ms = std::atoll(next_arg(argc, argv, i));
+      cli.retry_backoff_ms = int_arg<std::int64_t>(argc, argv, i, 0);
     } else if (std::strcmp(arg, "--fallback-local") == 0) {
       cli.fallback_local = true;
     } else if (std::strcmp(arg, "--trace-out") == 0) {
@@ -235,9 +250,7 @@ CliOptions parse_cli(int argc, char** argv) {
       cli.execute = true;
     } else if (std::strcmp(arg, "--execute-threads") == 0) {
       cli.execute = true;
-      cli.execute_threads = std::atoi(next_arg(argc, argv, i));
-      if (cli.execute_threads < 1)
-        usage("--execute-threads must be positive");
+      cli.execute_threads = int_arg(argc, argv, i, 1);
     } else if (std::strcmp(arg, "--execute-corrupt") == 0) {
       cli.execute = true;
       cli.execute_corrupt = true;
