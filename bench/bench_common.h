@@ -15,8 +15,10 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sbmp/core/parallel.h"
@@ -116,11 +118,18 @@ inline constexpr std::array<MachineCase, 4> kPaperCases{{
 /// Parses `--jobs N` from a harness command line (other arguments are
 /// left for the harness itself). 0 = one worker per hardware thread;
 /// 1 = the serial engine, bit-identical to the pre-parallel harnesses.
+/// N is read whole: anything but an integer in [0, INT_MAX] is a usage
+/// error, and the harness exits 2.
 inline int parse_jobs(int argc, char** argv) {
   int jobs = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      jobs = std::atoi(argv[i + 1]);
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") != 0) continue;
+    if (!parse_number(std::string_view(argv[i + 1]), &jobs) || jobs < 0) {
+      std::fprintf(stderr,
+                   "%s: --jobs wants an integer in [0, %d], got '%s'\n",
+                   argv[0], std::numeric_limits<int>::max(), argv[i + 1]);
+      std::exit(2);
+    }
   }
   return jobs;
 }

@@ -23,6 +23,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <string_view>
+
 #include "bench_common.h"
 #include "sbmp/codegen/codegen.h"
 #include "sbmp/core/pipeline.h"
@@ -178,10 +181,22 @@ int main(int argc, char** argv) {
   double scaling_floor = -1.0;
   std::int64_t fallback_budget_ns = -1;
   for (int i = 1; i + 1 < argc; ++i) {
+    // Read whole: a typo is a usage error, never a silent 0 gate.
+    bool ok = true;
     if (std::strcmp(argv[i], "--scaling-floor") == 0)
-      scaling_floor = std::atof(argv[i + 1]);
+      ok = sbmp::parse_number(std::string_view(argv[i + 1]),
+                              &scaling_floor) &&
+           std::isfinite(scaling_floor);
     if (std::strcmp(argv[i], "--fallback-budget-ns") == 0)
-      fallback_budget_ns = std::atoll(argv[i + 1]);
+      ok = sbmp::parse_number(std::string_view(argv[i + 1]),
+                              &fallback_budget_ns);
+    if (!ok) {
+      std::fprintf(stderr,
+                   "usage: bench_micro [--json FILE | --check FILE] "
+                   "[--scaling-floor F] [--fallback-budget-ns N] "
+                   "[benchmark flags]\n");
+      return 2;
+    }
   }
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {

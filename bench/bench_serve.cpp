@@ -353,16 +353,23 @@ int run(int argc, char** argv) {
   std::uint64_t seed = 0x5bd1e9955bd1e995ull;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
+    // Numeric values are read whole and in range: a typo is a usage
+    // error, never a silent 0 that empties the chaos campaign.
+    bool ok = true;
     if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      chaos_trials = std::atoi(argv[++i]);
+      ok = parse_number(std::string_view(argv[++i]), &chaos_trials) &&
+           chaos_trials >= 0;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      ok = parse_number(std::string_view(argv[++i]), &seed);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       ++i;  // accepted for harness-runner uniformity; campaigns pick
             // their own concurrency
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
                    "usage: bench_serve [--chaos N] [--seed S] [--json FILE]\n");
       return 2;

@@ -31,8 +31,11 @@
 // disagrees with its cold counterpart (see docs/serving.md).
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.h"
@@ -53,14 +56,24 @@ constexpr const char* kStencil = sbmp::bench::kCorpusStencil;
 constexpr const char* kPaperExample = sbmp::bench::kCorpusPaperExample;
 
 /// Parses `--faults [N]`: 0 when the flag is absent (sweep mode),
-/// otherwise the requested total trial count (500 when no explicit
-/// count follows the flag).
+/// otherwise the requested total trial count (500 when no count follows
+/// the flag, i.e. it is last or another `--` flag is next). A count that
+/// is not an integer in [1, INT_MAX] is a usage error: exit 2.
 int parse_faults(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--faults") != 0) continue;
-    if (i + 1 < argc && std::atoi(argv[i + 1]) > 0)
-      return std::atoi(argv[i + 1]);
-    return 500;
+    if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) return 500;
+    int trials = 0;
+    if (!sbmp::parse_number(std::string_view(argv[i + 1]), &trials) ||
+        trials < 1) {
+      std::fprintf(stderr,
+                   "usage: bench_sweep [--jobs N] [--faults [N] | "
+                   "--cache-dir DIR]: --faults wants an integer in [1, %d], "
+                   "got '%s'\n",
+                   std::numeric_limits<int>::max(), argv[i + 1]);
+      std::exit(2);
+    }
+    return trials;
   }
   return 0;
 }

@@ -55,6 +55,12 @@ struct ExecStats {
   int threads = 0;
   /// SignalBoard ring rows (power of two; 0 for reference runs).
   std::int64_t window = 0;
+  /// Micro-ops interpreted: the ops of one iteration's body times the
+  /// iterations, the interpreter's group- and iteration-end markers
+  /// aside. run()'s body has its address arithmetic folded into its
+  /// loads and stores and holds only the sync ops that cross workers;
+  /// run_reference()'s is the literal lowering without sync ops.
+  std::int64_t ops = 0;
   /// The schedule's synchronization executions, posted or not: a run
   /// posts and awaits only the pairs that cross workers, so these are
   /// the same at every thread count.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <span>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -45,11 +44,12 @@ struct WorkerTally {
   std::int64_t gate_blocks = 0;
 };
 
-/// The ops one run interprets, for its worker count.
+/// The ops one run interprets, for its worker count and spin.
 struct RunBody {
+  /// One iteration, ending in kIterationEnd.
   OpSequence sequence;
-  /// group_ends[g] is the index one past group g's last kept op.
-  std::vector<std::size_t> group_ends;
+  /// The ops of `sequence` that are not markers.
+  std::int64_t instruction_ops = 0;
   /// Some send is left, so the run posts and gates.
   bool posts = false;
 };
@@ -66,8 +66,9 @@ struct LoopExecutor::Prepared {
   /// A refused build: every run with this key returns it.
   Status status;
   ExecProgram program;
-  /// The body in schedule group order; group_ends[g] is the index one
-  /// past group g's last op.
+  /// The body in schedule group order with its affine address
+  /// arithmetic folded (fold_affine_addresses); group_ends[g] is the
+  /// index one past group g's last op.
   OpSequence ordered;
   std::vector<std::size_t> group_ends;
   /// The schedule's synchronization executions over the whole run: n
@@ -78,11 +79,12 @@ struct LoopExecutor::Prepared {
   /// The seeded initial memory each run starts from a copy of.
   ExecMemory memory;
 
-  /// `ordered` for a run on `workers` workers. Worker k mod N runs
-  /// iteration k - d before iteration k whenever N divides d, so its
-  /// program order already orders such a wait's dependence: the body
-  /// drops that wait, and every send no remaining wait reads.
-  [[nodiscard]] RunBody body_for(int workers) const {
+  /// `ordered` for a run on `workers` workers, with a kGroupEnd after
+  /// every group when the run `spins`, and a kIterationEnd. Worker
+  /// k mod N runs iteration k - d before iteration k whenever N divides
+  /// d, so its program order already orders such a wait's dependence:
+  /// the body drops that wait, and every send no remaining wait reads.
+  [[nodiscard]] RunBody body_for(int workers, bool spins) const {
     const auto kept = [workers](const ExecOp& op) {
       return op.code != OpCode::kWait || op.distance() % workers != 0;
     };
@@ -92,9 +94,9 @@ struct LoopExecutor::Prepared {
       if (op.code == OpCode::kWait && kept(op))
         read[static_cast<std::size_t>(op.dst)] = 1;
     RunBody body;
-    body.sequence.ops.reserve(ordered.ops.size());
-    body.sequence.ids.reserve(ordered.ids.size());
-    body.group_ends.reserve(group_ends.size());
+    const std::size_t size = ordered.ops.size() + group_ends.size() + 1;
+    body.sequence.ops.reserve(size);
+    body.sequence.ids.reserve(size);
     std::size_t i = 0;
     for (const std::size_t end : group_ends) {
       for (; i < end; ++i) {
@@ -104,11 +106,12 @@ struct LoopExecutor::Prepared {
                 : !kept(op))
           continue;
         body.posts = body.posts || op.code == OpCode::kSend;
-        body.sequence.ops.push_back(op);
-        body.sequence.ids.push_back(ordered.ids[i]);
+        body.sequence.push_back(op, ordered.ids[i]);
+        ++body.instruction_ops;
       }
-      body.group_ends.push_back(body.sequence.ops.size());
+      if (spins) body.sequence.push_back({OpCode::kGroupEnd}, 0);
     }
+    body.sequence.push_back({OpCode::kIterationEnd}, 0);
     return body;
   }
 
@@ -177,13 +180,16 @@ std::shared_ptr<const LoopExecutor::Prepared> LoopExecutor::prepare(
                                      options.memory_seed,
                                      options.max_memory_bytes, &built->program);
   if (built->status.ok()) {
-    // Flatten the schedule into group-ordered micro-ops once; workers
-    // then run over one contiguous array per iteration.
+    // Flatten the schedule into group-ordered micro-ops once, and fold
+    // their address arithmetic; workers then run over one contiguous
+    // array.
     for (const auto& group : schedule_.groups) {
       for (const int id : group)
         built->program.append_ops(id, &built->ordered);
       built->group_ends.push_back(built->ordered.ops.size());
     }
+    fold_affine_addresses(built->program, &built->ordered,
+                          &built->group_ends);
     const std::int64_t n = built->program.iterations();
     for (const ExecOp& op : built->ordered.ops) {
       if (op.code == OpCode::kSend)
@@ -244,17 +250,9 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
 
   // A run that posts nothing keeps every dependence on one worker, so
   // it skips the ring-reuse gate and the done counts.
-  const RunBody body = prepared->body_for(threads);
-  const bool posts = body.posts;
-
-  // An iteration stops only where a per-group spin is modelled: with
-  // none it is one interpreter call, since a call per group costs a
-  // fifth of a 1-worker run on the corpus.
   const std::int64_t spin_ns = options.spin_ns_per_group;
-  const std::size_t body_end = body.sequence.ops.size();
-  const std::span<const std::size_t> stops =
-      spin_ns > 0 ? std::span<const std::size_t>(body.group_ends)
-                  : std::span<const std::size_t>(&body_end, 1);
+  const RunBody body = prepared->body_for(threads, spin_ns > 0);
+  const bool posts = body.posts;
 
   // Per-worker completion counts, read by the ring-reuse gate. All
   // iterations <= T are complete iff every worker w has completed
@@ -284,6 +282,9 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   const ExecOp* const ops = body.sequence.ops.data();
   Tracer* const tracer = options.tracer;
 
+  // A worker interprets its whole share in one exec_ops call: `next`,
+  // at the end of each iteration, does what lies between two
+  // iterations.
   const auto worker = [&](int w) {
     WorkerTally& tally = tallies[static_cast<std::size_t>(w)];
     std::vector<std::uint64_t> frame = frame_template;
@@ -297,10 +298,12 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
             ? (mine - 1) / options.trace_waves_per_worker + 1
             : 0;
     Tracer::Span wave;
-    std::int64_t local = 0;
+    std::int64_t k = w;
     std::int64_t completed = 0;
-    for (std::int64_t k = w; k < n; k += threads, ++local) {
-      if (wave_len > 0 && local % wave_len == 0) {
+    // The wave span and the ring-reuse gate of iteration k; false when
+    // a peer halted the run.
+    const auto admit = [&] {
+      if (wave_len > 0 && completed % wave_len == 0) {
         wave = Tracer::begin(tracer, "exec_wave");
         wave.arg("worker", w);
         wave.arg("first_iteration", k);
@@ -322,43 +325,51 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
           return true;
         });
         if (outcome.blocked) ++tally.gate_blocks;
-        if (!outcome.satisfied) return;
+        if (!outcome.satisfied) return false;
       }
+      return true;
+    };
+    // Readies iteration k; false when a peer halted the run. A run that
+    // neither posts nor traces waves only sets the iteration register.
+    const bool plain = !posts && wave_len == 0;
+    const auto ready = [&] {
+      if (!plain && !admit()) return false;
       frame[iter_slot] =
           static_cast<std::uint64_t>(lower) + static_cast<std::uint64_t>(k);
-      const auto sync = [&](const ExecOp& op) {
-        if (op.code == OpCode::kSend) {
-          board.post(op.dst, k);
-          return true;
-        }
-        // Matches the simulator: a wait whose source iteration does not
-        // exist imposes nothing.
-        const std::int64_t src = k - op.distance();
-        if (src < 0) return true;
-        const auto outcome = board.await_signal(op.dst, src);
-        if (outcome.blocked) ++tally.blocked_waits;
-        return outcome.satisfied;
-      };
-      const ExecOp* stop = nullptr;
-      std::size_t begin = 0;
-      for (const std::size_t end : stops) {
-        stop = exec_ops(ops + begin, ops + end, frame.data(), views.data(),
-                        sync);
-        if (stop != nullptr) break;
-        if (spin_ns > 0) spin_for(spin_ns);
-        begin = end;
+      return true;
+    };
+    const auto sync = [&](const ExecOp& op) {
+      if (op.code == OpCode::kSend) {
+        board.post(op.dst, k);
+        return true;
       }
-      if (stop != nullptr) {
-        // A refused wait means a peer failed and halted the run.
-        if (stop->code != OpCode::kWait)
-          fail(runtime_fault(body.sequence, *stop, frame.data(), memory, k));
-        return;
+      if (op.code == OpCode::kGroupEnd) {
+        spin_for(spin_ns);
+        return true;
       }
+      // Matches the simulator: a wait whose source iteration does not
+      // exist imposes nothing.
+      const std::int64_t src = k - op.distance();
+      if (src < 0) return true;
+      const auto outcome = board.await_signal(op.dst, src);
+      if (outcome.blocked) ++tally.blocked_waits;
+      return outcome.satisfied;
+    };
+    const auto next = [&] {
+      ++completed;
       if (posts) {
-        my_done.store(++completed, std::memory_order_seq_cst);
+        my_done.store(completed, std::memory_order_seq_cst);
         board.hub().wake();
       }
-    }
+      k += threads;
+      return k < n && ready();
+    };
+    if (!ready()) return;
+    const ExecOp* stop = exec_ops(ops, frame.data(), program.iter_reg(),
+                                  views.data(), sync, next);
+    // A refused wait or gate means a peer failed and halted the run.
+    if (is_access(stop->code))
+      fail(runtime_fault(body.sequence, *stop, frame.data(), memory, k));
   };
 
   auto run_span = Tracer::begin(tracer, "exec_run");
@@ -399,6 +410,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     }
   }
 
+  result.stats.ops = sat_mul(body.instruction_ops, n);
   result.stats.sends = prepared->sends;
   result.stats.waits = prepared->waits;
   for (const WorkerTally& tally : tallies) {
@@ -410,6 +422,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   if (options.metrics != nullptr) {
     MetricsRegistry& m = *options.metrics;
     m.counter("sbmp_exec_iterations_total")->inc(n);
+    m.counter("sbmp_exec_ops_total")->inc(result.stats.ops);
     m.counter("sbmp_exec_sends_total")->inc(result.stats.sends);
     m.counter("sbmp_exec_waits_total")->inc(result.stats.waits);
     m.counter("sbmp_exec_blocked_waits_total")
@@ -435,7 +448,8 @@ ExecResult LoopExecutor::run_reference(const ExecOptions& options) const {
   result.stats.iterations = program.iterations();
   result.stats.threads = 1;
   const std::int64_t t0 = now_ns();
-  result.status = run_reference_interp(program, &result.memory);
+  result.status =
+      run_reference_interp(program, &result.memory, &result.stats.ops);
   result.wall_ns = now_ns() - t0;
   if (result.status.ok()) result.fingerprint = result.memory.fingerprint();
   return result;

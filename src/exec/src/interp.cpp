@@ -166,10 +166,6 @@ Status ExecProgram::build(const TacFunction& tac, const Loop& loop,
   // immediates.
   std::int32_t next_slot = reg_count;
   std::map<std::uint64_t, std::int32_t> constants{{0, 0}};
-  const auto emit = [&](const ExecOp& op, int id) {
-    p.program_.ops.push_back(op);
-    p.program_.ids.push_back(id);
-  };
   // The slot holding operand `o` in the use-site type: immediates are
   // pre-encoded constants, and a register of the other type is
   // converted into a scratch slot by an op emitted before the user.
@@ -197,7 +193,7 @@ Status ExecProgram::build(const TacFunction& tac, const Loop& loop,
         convert.code = want_float ? OpCode::kIntToFloat : OpCode::kFloatToInt;
         convert.dst = next_slot++;
         convert.a = o.reg;
-        emit(convert, id);
+        p.program_.push_back(convert, id);
         *slot = convert.dst;
         return true;
       }
@@ -222,7 +218,7 @@ Status ExecProgram::build(const TacFunction& tac, const Loop& loop,
         x.a = static_cast<std::int32_t>(static_cast<std::uint32_t>(d));
         x.b = static_cast<std::int32_t>(static_cast<std::uint32_t>(d >> 32));
       }
-      emit(x, instr.id);
+      p.program_.push_back(x, instr.id);
       continue;
     }
     bool want_float_a = false;
@@ -286,7 +282,7 @@ Status ExecProgram::build(const TacFunction& tac, const Loop& loop,
       x.b = static_cast<std::int32_t>(array_index.at(instr.array));
     if (instr.op == Opcode::kStore)
       x.dst = static_cast<std::int32_t>(array_index.at(instr.array));
-    emit(x, instr.id);
+    p.program_.push_back(x, instr.id);
   }
   p.op_begin_.push_back(p.program_.ops.size());
   p.frame_size_ = static_cast<std::size_t>(next_slot);
@@ -343,9 +339,14 @@ Status runtime_fault(const OpSequence& sequence, const ExecOp& op,
                      const std::uint64_t* frame, const ExecMemory& memory,
                      std::int64_t k) {
   const auto index = static_cast<std::size_t>(&op - sequence.ops.data());
-  const auto addr = static_cast<std::int64_t>(frame[op.a]);
-  const ExecArray& arr = memory.arrays[static_cast<std::size_t>(
-      op.code == OpCode::kLoad ? op.b : op.dst)];
+  const bool folded =
+      op.code == OpCode::kFoldedLoad || op.code == OpCode::kFoldedStore;
+  const auto addr = static_cast<std::int64_t>(
+      folded ? folded_address(op, frame[op.b]) : frame[op.a]);
+  const std::int32_t array = folded                       ? op.array
+                             : op.code == OpCode::kLoad ? op.b
+                                                        : op.dst;
+  const ExecArray& arr = memory.arrays[static_cast<std::size_t>(array)];
   std::string what;
   if ((addr & 3) != 0) {
     what = "misaligned byte address " + std::to_string(addr);
@@ -362,24 +363,39 @@ Status runtime_fault(const OpSequence& sequence, const ExecOp& op,
                            ", iteration " + std::to_string(k) + ": " + what);
 }
 
-Status run_reference_interp(const ExecProgram& program, ExecMemory* memory) {
+Status run_reference_interp(const ExecProgram& program, ExecMemory* memory,
+                            std::int64_t* ops) {
   *memory = program.initial_memory();
+  const std::int64_t n = program.iterations();
+  if (n == 0) {
+    *ops = 0;
+    return Status::okay();
+  }
+  OpSequence body;
+  const OpSequence& all = program.program_order();
+  for (std::size_t i = 0; i < all.ops.size(); ++i)
+    if (all.ops[i].code != OpCode::kWait && all.ops[i].code != OpCode::kSend)
+      body.push_back(all.ops[i], all.ids[i]);
+  body.push_back({OpCode::kIterationEnd}, 0);
   std::vector<std::uint64_t> frame = program.frame_template();
   const std::vector<ArrayView> views = array_views(*memory);
-  const OpSequence& body = program.program_order();
-  const ExecOp* const begin = body.ops.data();
-  const ExecOp* const end = begin + body.ops.size();
   const auto iter_slot = static_cast<std::size_t>(program.iter_reg());
-  const std::int64_t n = program.iterations();
-  for (std::int64_t k = 0; k < n; ++k) {
-    // Unsigned addition: wraps identically to the threaded executor on
-    // degenerate bounds instead of overflowing.
-    frame[iter_slot] = static_cast<std::uint64_t>(program.lower()) +
-                       static_cast<std::uint64_t>(k);
-    if (const ExecOp* stop = exec_ops(begin, end, frame.data(), views.data(),
-                                      [](const ExecOp&) { return true; }))
-      return runtime_fault(body, *stop, frame.data(), *memory, k);
-  }
+  // Unsigned addition: wraps identically to the threaded executor on
+  // degenerate bounds instead of overflowing.
+  const auto lower = static_cast<std::uint64_t>(program.lower());
+  std::int64_t k = 0;
+  frame[iter_slot] = lower;
+  const ExecOp* stop = exec_ops(
+      body.ops.data(), frame.data(), program.iter_reg(), views.data(),
+      [](const ExecOp&) { return true; },
+      [&] {
+        if (++k == n) return false;
+        frame[iter_slot] = lower + static_cast<std::uint64_t>(k);
+        return true;
+      });
+  if (stop->code != OpCode::kIterationEnd)
+    return runtime_fault(body, *stop, frame.data(), *memory, k);
+  *ops = sat_mul(static_cast<std::int64_t>(body.ops.size() - 1), n);
   return Status::okay();
 }
 

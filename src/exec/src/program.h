@@ -6,9 +6,12 @@
 // every operand is a slot of one per-worker frame that holds the
 // registers, the constants and the conversion scratch, so the
 // interpreter never inspects an operand kind. exec_ops() defines the
-// semantics of every op once; LoopExecutor::run interprets the ops in
-// schedule group order with live synchronization, run_reference_interp
-// in program order without.
+// semantics of every op once and runs a worker's whole share of a run
+// in one call: every body ends in an iteration-end op that starts the
+// next iteration. LoopExecutor::run interprets the ops in schedule
+// group order with live synchronization and its address arithmetic
+// folded into the loads and stores; run_reference_interp interprets the
+// literal ops in program order without synchronization.
 
 #include <cstdint>
 #include <string>
@@ -24,7 +27,8 @@
 namespace sbmp {
 
 /// The TAC opcode with the int/real split resolved at build time, plus
-/// the explicit operand conversions.
+/// the explicit operand conversions, the folded accesses and the two
+/// markers the interpreter stops at. The pure ops come first.
 enum class OpCode : std::uint8_t {
   kIntAdd,
   kIntSub,
@@ -39,19 +43,46 @@ enum class OpCode : std::uint8_t {
   kFloatToInt,
   kLoad,
   kStore,
+  kFoldedLoad,
+  kFoldedStore,
   kWait,
   kSend,
+  kGroupEnd,
+  kIterationEnd,
 };
+
+/// Arithmetic and conversions: ops that only write their `dst` slot.
+[[nodiscard]] inline bool is_pure(OpCode code) {
+  return code <= OpCode::kFloatToInt;
+}
+
+/// Loads and stores, literal or folded: the ops that can fault.
+[[nodiscard]] inline bool is_access(OpCode code) {
+  return code >= OpCode::kLoad && code <= OpCode::kFoldedStore;
+}
 
 /// One micro-op; `f` is the frame.
 ///
 ///   arithmetic, conversions  f[dst] = op(f[a], f[b])
 ///   kLoad                    f[dst] = array b at byte address f[a]
 ///   kStore                   array dst at byte address f[a] = f[b]
+///   kFoldedLoad              f[dst] = array `array` at byte address
+///                            alpha * f[b] + a
+///   kFoldedStore             array `array` at byte address
+///                            alpha * f[b] + a = f[dst]
 ///   kWait                    signal statement dst, distance in (a, b)
 ///   kSend                    signal statement dst
+///   kGroupEnd                the end of an issue group
+///   kIterationEnd            the end of the body
+///
+/// In a folded access `alpha` and `a` are sign-extended and the
+/// arithmetic wraps; f[b] is the iteration register.
 struct ExecOp {
   OpCode code = OpCode::kIntAdd;
+  /// kFoldedLoad, kFoldedStore: the form's multiplier and array, in
+  /// what would be padding.
+  std::int8_t alpha = 0;
+  std::uint16_t array = 0;
   std::int32_t dst = 0;
   std::int32_t a = 0;
   std::int32_t b = 0;
@@ -65,11 +96,25 @@ struct ExecOp {
 };
 static_assert(sizeof(ExecOp) == 16);
 
+/// The byte address of a kFoldedLoad or kFoldedStore in an iteration
+/// whose iteration register holds `i`.
+[[nodiscard]] inline std::uint64_t folded_address(const ExecOp& op,
+                                                  std::uint64_t i) {
+  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  return u(op.alpha) * i + u(op.a);
+}
+
 /// Micro-ops ready to interpret, each with the id of the TAC
-/// instruction it came from (read only to name a fault).
+/// instruction it came from (read only to name a fault; 0 for the
+/// markers).
 struct OpSequence {
   std::vector<ExecOp> ops;
   std::vector<std::int32_t> ids;
+
+  void push_back(const ExecOp& op, std::int32_t id) {
+    ops.push_back(op);
+    ids.push_back(id);
+  }
 };
 
 /// One run's view of an ExecArray.
@@ -95,108 +140,150 @@ struct ArrayView {
   return view.cells + off;
 }
 
-/// Interprets ops [op, end) over frame `f` and memory `arrays`. kWait
-/// and kSend go to `sync(op)`, which returns false to stop. Returns
-/// nullptr when every op ran, else the op that stopped: a load or store
-/// whose address faulted, or a wait `sync` refused.
+/// Interprets the body that starts at `op` over frame `f` and memory
+/// `arrays`, iteration after iteration. The body ends in a
+/// kIterationEnd: `next()` either prepares the next iteration and
+/// returns true, and the body runs again from `op`, or returns false.
+/// Folded accesses read the iteration register, slot `iter`, once per
+/// iteration, when it starts: a body that holds them has no op that
+/// writes that register.
+/// kWait, kSend and kGroupEnd go to `sync(op)`, which returns false to
+/// stop. Returns the op that stopped: a load or store whose address
+/// faulted, an op `sync` refused, or the kIterationEnd `next()` refused.
 ///
 /// Every handler ends in its own copy of the dispatch — a jump through
 /// `kHandlers` (GCC's labels as values) straight to the next op's
 /// handler — so each indirect jump is predicted from the op it follows
-/// rather than from one shared switch. GCC never inlines a function that
-/// keeps label addresses in a static table, so this stays out of line.
-template <class Sync>
+/// rather than from one shared switch. No handler compares against an
+/// end: the body's last op is the only way out besides a fault or a
+/// refused sync op. GCC
+/// never inlines a function that keeps label addresses in a static
+/// table, so this stays out of line.
+template <class Sync, class Next>
 [[nodiscard]] inline const ExecOp* exec_ops(const ExecOp* op,
-                                            const ExecOp* end,
                                             std::uint64_t* f,
+                                            std::int32_t iter,
                                             const ArrayView* arrays,
-                                            Sync&& sync) {
-  // Indexed by OpCode, in its order; kWait and kSend share sync_op.
+                                            Sync&& sync, Next&& next) {
+  // Indexed by OpCode, in its order; the sync ops and the group end
+  // share sync_op.
   static const void* const kHandlers[] = {
-      &&int_add,   &&int_sub,      &&int_mul,      &&int_div,
-      &&shl,       &&float_add,    &&float_sub,    &&float_mul,
-      &&float_div, &&int_to_float, &&float_to_int, &&load,
-      &&store,     &&sync_op,      &&sync_op,
+      &&int_add,     &&int_sub,      &&int_mul,      &&int_div,
+      &&shl,         &&float_add,    &&float_sub,    &&float_mul,
+      &&float_div,   &&int_to_float, &&float_to_int, &&load,
+      &&store,       &&folded_load,  &&folded_store, &&sync_op,
+      &&sync_op,     &&sync_op,      &&iteration_end,
   };
   static_assert(sizeof kHandlers / sizeof kHandlers[0] ==
-                static_cast<std::size_t>(OpCode::kSend) + 1);
-  const auto handler = [](const ExecOp* next) {
-    return kHandlers[static_cast<std::size_t>(next->code)];
+                static_cast<std::size_t>(OpCode::kIterationEnd) + 1);
+  const auto handler = [](const ExecOp* next_op) {
+    return kHandlers[static_cast<std::size_t>(next_op->code)];
   };
   const auto i = [](std::uint64_t bits) {
     return static_cast<std::int64_t>(bits);
   };
   const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
-  if (op == end) return nullptr;
+  const ExecOp* const first = op;
+  // The iteration register, held in a register: reading it from the
+  // frame on every folded access costs as much as the fold saves.
+  std::uint64_t iteration = f[iter];
   goto* handler(op);
 
 int_add:
   f[op->dst] = u(exec_iadd(i(f[op->a]), i(f[op->b])));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 int_sub:
   f[op->dst] = u(exec_isub(i(f[op->a]), i(f[op->b])));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 int_mul:
   f[op->dst] = u(exec_imul(i(f[op->a]), i(f[op->b])));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 int_div:
   f[op->dst] = u(exec_idiv(i(f[op->a]), i(f[op->b])));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 shl:
   f[op->dst] = u(exec_ishl(i(f[op->a]), i(f[op->b])));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 float_add:
   f[op->dst] =
       exec_bits_of(exec_double_of(f[op->a]) + exec_double_of(f[op->b]));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 float_sub:
   f[op->dst] =
       exec_bits_of(exec_double_of(f[op->a]) - exec_double_of(f[op->b]));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 float_mul:
   f[op->dst] =
       exec_bits_of(exec_double_of(f[op->a]) * exec_double_of(f[op->b]));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 float_div:
   f[op->dst] =
       exec_bits_of(exec_double_of(f[op->a]) / exec_double_of(f[op->b]));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 int_to_float:
   f[op->dst] = exec_bits_of(static_cast<double>(i(f[op->a])));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 float_to_int:
   f[op->dst] = u(exec_f2i(exec_double_of(f[op->a])));
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 load: {
   const std::uint64_t* cell = cell_at(arrays[op->b], f[op->a]);
   if (cell == nullptr) return op;
   f[op->dst] = *cell;
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
 }
 store: {
   std::uint64_t* cell = cell_at(arrays[op->dst], f[op->a]);
   if (cell == nullptr) return op;
   *cell = f[op->b];
-  if (++op == end) return nullptr;
-  goto* handler(op);
+  goto* handler(++op);
+}
+folded_load: {
+  const std::uint64_t* cell =
+      cell_at(arrays[op->array], folded_address(*op, iteration));
+  if (cell == nullptr) return op;
+  f[op->dst] = *cell;
+  goto* handler(++op);
+}
+folded_store: {
+  std::uint64_t* cell =
+      cell_at(arrays[op->array], folded_address(*op, iteration));
+  if (cell == nullptr) return op;
+  *cell = f[op->dst];
+  goto* handler(++op);
 }
 sync_op:
   if (!sync(*op)) return op;
-  if (++op == end) return nullptr;
+  goto* handler(++op);
+iteration_end:
+  if (!next()) return op;
+  iteration = f[iter];
+  op = first;
   goto* handler(op);
 }
+
+class ExecProgram;
+
+/// Rewrites `body`, the ops of one iteration of `program` in the order a
+/// run interprets them with group g ending at `group_ends[g]`:
+///
+/// * Walking the body once, it tracks which slots hold
+///   alpha * f[iter_reg] + beta (mod 2^64) at each point. The iteration
+///   register and the slots no op writes are the sources; the form
+///   flows through kIntAdd, kIntSub, and kIntMul or kShl by an operand
+///   whose alpha is 0 (for kShl, the count). A def counts only from its
+///   position on: a use before it reads the previous iteration's value.
+/// * Every load or store whose address slot has a form where it stands,
+///   with alpha in int8 and beta in int32 range and an array numbered
+///   below 2^16, becomes a kFoldedLoad or kFoldedStore of that form.
+/// * Every pure op whose result no remaining op reads is dropped, and
+///   `group_ends` follows.
+///
+/// A body in which some op writes the iteration register is left as it
+/// is. The result leaves memory, and every fault with its message, as
+/// the literal body would.
+void fold_affine_addresses(const ExecProgram& program, OpSequence* body,
+                           std::vector<std::size_t>* group_ends);
 
 /// A LoopReport's TAC lowered to micro-ops for one concrete iteration
 /// count and memory seed: operand types resolved, array indexes
@@ -236,7 +323,7 @@ class ExecProgram {
   /// The frame every worker starts from: live-in scalars and constants
   /// set, everything else zero. Registers are single-assignment and
   /// defined before use within the body, so one frame per worker can be
-  /// reused across iterations; only the iteration register changes per
+  /// reused across iterations; only the iteration register is set per
   /// iteration.
   [[nodiscard]] std::vector<std::uint64_t> frame_template() const;
 
@@ -263,18 +350,21 @@ class ExecProgram {
   std::int64_t max_wait_distance_ = 0;
 };
 
-/// The kInternal status of `op`, a load or store of `sequence`, faulting
-/// in iteration `k` over `frame` and `memory`. Built only once a run
-/// has stopped, so the interpreter carries no message state.
+/// The kInternal status of `op`, a load or store of `sequence`, literal
+/// or folded, faulting in iteration `k` over `frame` and `memory`. Built
+/// only once a run has stopped, so the interpreter carries no message
+/// state.
 [[nodiscard]] Status runtime_fault(const OpSequence& sequence,
                                    const ExecOp& op,
                                    const std::uint64_t* frame,
                                    const ExecMemory& memory, std::int64_t k);
 
-/// Serial reference semantics: iterations in order, the body in program
-/// (id) order, sync ops skipped. This is the ground truth the threaded
-/// executor must match bit-for-bit.
+/// Serial reference semantics: iterations in order, the literal body in
+/// program (id) order, sync ops skipped. This is the ground truth the
+/// threaded executor must match bit-for-bit. On success `*ops` is the
+/// micro-ops interpreted: the body's length times the iterations.
 [[nodiscard]] Status run_reference_interp(const ExecProgram& program,
-                                          ExecMemory* memory);
+                                          ExecMemory* memory,
+                                          std::int64_t* ops);
 
 }  // namespace sbmp

@@ -17,6 +17,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "bench_common.h"
 #include "sbmp/core/pipeline.h"
 #include "sbmp/exec/executor.h"
 #include "sbmp/exec/interp.h"
@@ -393,8 +394,8 @@ TEST(Executor, MalformedSyncPayloadIsATypedRefusal) {
 
 /// The paper example with the address of its `op` on `array` at
 /// subscript offset `offset` edited. Codegen computes that address as
-/// `t = I + offset; addr = t << 2`: `skew` is added to the offset and
-/// `shift` replaces the scaling.
+/// `t = I + offset; addr = t << 2`: `skew` is added to the offset,
+/// wrapping around, and `shift` replaces the scaling.
 LoopExecutor mutated_address(Opcode op, const std::string& array,
                              std::int64_t offset, std::int64_t skew,
                              std::int64_t shift) {
@@ -411,7 +412,9 @@ LoopExecutor mutated_address(Opcode op, const std::string& array,
         for (auto& addi : tac.instrs) {
           if (addi.dst != shl.a.reg) continue;
           ASSERT_EQ(addi.op, Opcode::kAddI);
-          addi.b.imm += skew;
+          addi.b.imm = static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(addi.b.imm) +
+              static_cast<std::uint64_t>(skew));
           return;
         }
       }
@@ -482,6 +485,258 @@ TEST(Executor, StoreFaultIsTypedAndReleasesThePeer) {
   expect_one_fault(mutated_address(Opcode::kStore, "G", -3, 0, 1),
                    "runtime fault at instruction 21, iteration 1: "
                    "misaligned byte address -2");
+}
+
+// ---------------------------------------------------------------------
+// The address fold: run() interprets its group-ordered body with every
+// load and store whose address is affine in I folded, and the address
+// arithmetic no other op reads dropped; run_reference() interprets the
+// literal lowering. Each case below ends every run as the reference
+// ends: the same memory, the same fault, or, for a schedule the fold
+// must follow, the same divergence.
+
+/// Runs `executor` at 1, 2 and 3 workers, each without and then with a
+/// per-group spin, and returns the results in that order.
+std::vector<ExecResult> runs_at_1_2_3(const LoopExecutor& executor,
+                                      const ExecOptions& base) {
+  std::vector<ExecResult> results;
+  for (const int threads : {1, 2, 3}) {
+    for (const std::int64_t spin : {0, 1}) {
+      ExecOptions options = base;
+      options.threads = threads;
+      options.spin_ns_per_group = spin;
+      results.push_back(executor.run(options));
+    }
+  }
+  return results;
+}
+
+/// Expects every run of runs_at_1_2_3 to leave the serial reference's
+/// memory, or to fail with its fault message. Returns the reference.
+ExecResult expect_same_as_reference(const LoopExecutor& executor) {
+  ExecOptions options;
+  options.iterations = 100;
+  ExecResult reference = executor.run_reference(options);
+  const std::vector<ExecResult> results = runs_at_1_2_3(executor, options);
+  for (std::size_t r = 0; r < results.size(); ++r) {
+    const ExecResult& result = results[r];
+    const std::string where = "threads " + std::to_string(1 + r / 2) +
+                              (r % 2 == 1 ? " with a spin" : "");
+    if (!reference.ok()) {
+      EXPECT_EQ(result.status.message, reference.status.message) << where;
+      continue;
+    }
+    const Status verdict = LoopExecutor::verify(result, reference);
+    EXPECT_TRUE(verdict.ok()) << where << ": " << verdict.to_string();
+  }
+  return reference;
+}
+
+/// A schedule of one instruction per group, in `order`.
+Schedule schedule_in(const std::vector<int>& order) {
+  Schedule schedule;
+  for (const int id : order) schedule.groups.push_back({id});
+  return schedule;
+}
+
+/// Program order, one instruction per group.
+Schedule program_order_schedule(const TacFunction& tac) {
+  std::vector<int> order;
+  for (const TacInstr& instr : tac.instrs) order.push_back(instr.id);
+  return schedule_in(order);
+}
+
+TEST(AddressFold, DefScheduledAfterItsUseStillDiverges) {
+  // `t2 = 4 * t1` is scheduled after the load of A[t2] that reads it, so
+  // every run loads through the address its worker computed one
+  // iteration earlier (0 in its first). A fold that took its forms in
+  // program order would load A[I - 1] and match the reference.
+  const LoopReport report = compile_one(R"(
+doacross I = 1, 100
+  B[I] = A[I-1] * 2
+end
+)");
+  const TacFunction& tac = report.tac;
+  int load = 0;
+  int scale = 0;
+  for (const TacInstr& instr : tac.instrs)
+    if (instr.op == Opcode::kLoad) load = instr.id;
+  ASSERT_NE(load, 0);
+  for (const TacInstr& instr : tac.instrs)
+    if (instr.dst == tac.by_id(load).a.reg) scale = instr.id;
+  ASSERT_EQ(tac.by_id(scale).op, Opcode::kShl);
+  std::vector<int> order;
+  for (const TacInstr& instr : tac.instrs) {
+    if (instr.id != scale) order.push_back(instr.id);
+    if (instr.id == load) order.push_back(scale);
+  }
+  const LoopExecutor executor(report.loop, tac, schedule_in(order));
+  ASSERT_TRUE(executor.setup_status().ok())
+      << executor.setup_status().to_string();
+  ExecOptions options;
+  options.iterations = 100;
+  const ExecResult reference = executor.run_reference(options);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  int run = 0;
+  for (const ExecResult& result : runs_at_1_2_3(executor, options)) {
+    ASSERT_TRUE(result.ok()) << "run " << run << ": "
+                             << result.status.to_string();
+    EXPECT_EQ(LoopExecutor::verify(result, reference).code,
+              StatusCode::kExecDivergence)
+        << "run " << run;
+    ++run;
+  }
+}
+
+TEST(AddressFold, WrappingAddressChainsMatchTheReference) {
+  // Each edit leaves a chain whose arithmetic wraps: an offset near
+  // +-2^63 scaled by 4 wraps back to the original address, and a shift
+  // count of 64 or more is masked to its low six bits. The literal
+  // reference computes each address in uint64; the fold must land on
+  // the same cells, or report the same fault.
+  constexpr std::int64_t k62 = std::int64_t{1} << 62;
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  ExecOptions options;
+  options.iterations = 100;
+  const ExecResult original =
+      LoopExecutor(compile_one(kPaperExample)).run_reference(options);
+  ASSERT_TRUE(original.ok()) << original.status.to_string();
+  const struct {
+    Opcode op;
+    const char* array;
+    std::int64_t offset;
+    std::int64_t skew;
+    std::int64_t shift;
+  } same_cells[] = {
+      {Opcode::kLoad, "A", -2, k62, 2},
+      {Opcode::kLoad, "A", -2, -k62, 2},
+      {Opcode::kLoad, "A", -2, kMin, 2},
+      {Opcode::kLoad, "A", -2, kMin, 66},
+      {Opcode::kLoad, "E", 1, 0, 130},
+      {Opcode::kStore, "G", -3, kMin, 66},
+      {Opcode::kStore, "G", -3, k62, 2},
+  };
+  for (const auto& c : same_cells) {
+    const LoopExecutor executor =
+        mutated_address(c.op, c.array, c.offset, c.skew, c.shift);
+    const ExecResult reference = expect_same_as_reference(executor);
+    ASSERT_TRUE(reference.ok()) << c.array << ": "
+                                << reference.status.to_string();
+    EXPECT_EQ(reference.fingerprint, original.fingerprint) << c.array;
+  }
+  // Wrapping to one element below the original: only iteration 0 leaves
+  // the extent, so every engine reports the same fault.
+  for (const std::int64_t shift : {2, 66}) {
+    const ExecResult reference = expect_same_as_reference(
+        mutated_address(Opcode::kLoad, "A", -2, k62 - 1, shift));
+    EXPECT_EQ(reference.status.message,
+              "runtime fault at instruction 5, iteration 0: A[-2] outside "
+              "planned extent [-1, 100]")
+        << "shift " << shift;
+  }
+}
+
+constexpr const char* kValueAndAddress = R"(
+doacross I = 1, 100
+  int A, B
+  A[I+1] = I + 1
+  B[I] = B[I-1] + A[I] * I
+end
+)";
+
+TEST(AddressFold, RegisterReadAsAValueStaysMaterialized) {
+  // `t3 = I + 1` is affine and stored as a value, and I itself is read
+  // as a factor: both stay in the body. The edits make the store write a
+  // register the address chain of A[I+1] also reads (`t1 = I + 1`) or
+  // the scaled address itself (`t2 = 4 * t1`).
+  const LoopReport report = compile_one(kValueAndAddress);
+  expect_same_as_reference(LoopExecutor(report));
+  const TacInstr* store = nullptr;
+  const TacInstr* scale = nullptr;
+  for (const TacInstr& instr : report.tac.instrs)
+    if (instr.op == Opcode::kStore && instr.array == "A") store = &instr;
+  ASSERT_NE(store, nullptr);
+  for (const TacInstr& instr : report.tac.instrs)
+    if (instr.dst == store->a.reg) scale = &instr;
+  ASSERT_NE(scale, nullptr);
+  ASSERT_EQ(scale->op, Opcode::kShl);
+  for (const int value : {scale->a.reg, scale->dst}) {
+    TacFunction tac = report.tac;
+    for (TacInstr& instr : tac.instrs)
+      if (instr.id == store->id) instr.b = Operand::r(value);
+    const LoopExecutor executor(report.loop, tac, report.schedule);
+    const ExecResult reference = expect_same_as_reference(executor);
+    ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+    // A[I+1] holds the stored register: I + 1, or 4 * (I + 1).
+    for (const ExecArray& arr : reference.memory.arrays) {
+      if (arr.name != "A") continue;
+      const std::int64_t scaled = value == scale->dst ? 4 : 1;
+      EXPECT_EQ(arr.cells.back(),
+                static_cast<std::uint64_t>(scaled * (100 + 1)));
+    }
+  }
+}
+
+TEST(AddressFold, BodyThatWritesTheIterationRegisterFoldsNothing) {
+  // `t5 = I - 1` becomes `I = I - 1` and its reader `4 * t5` reads I:
+  // from there on the body sees I - 1. Addresses computed from I before
+  // the write (B[I]'s) and after it (B[I-1]'s) would both be folded
+  // from the I an iteration starts with, so the fold leaves the body
+  // literal. Scheduled in program order, every run matches the
+  // reference.
+  const LoopReport report = compile_one(kValueAndAddress);
+  TacFunction tac = report.tac;
+  int rewritten = 0;
+  for (TacInstr& instr : tac.instrs) {
+    if (rewritten == 0 && instr.op == Opcode::kAddI && instr.b.imm == -1 &&
+        instr.a.reg == tac.iter_reg) {
+      rewritten = instr.dst;
+      instr.dst = tac.iter_reg;
+    } else if (rewritten != 0 && instr.a.reg == rewritten) {
+      instr.a = Operand::r(tac.iter_reg);
+    }
+  }
+  ASSERT_NE(rewritten, 0);
+  const LoopExecutor executor(report.loop, tac, program_order_schedule(tac));
+  const ExecResult reference = expect_same_as_reference(executor);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  ExecOptions options;
+  options.iterations = 100;
+  EXPECT_EQ(executor.run(options).stats.ops, reference.stats.ops);
+  // The edit changes the result: B[I] now adds A[I] * (I - 1).
+  EXPECT_NE(reference.fingerprint,
+            LoopExecutor(report).run_reference(options).fingerprint);
+}
+
+TEST(AddressFold, CorpusBodiesShrinkByTheirAddressArithmetic) {
+  // clockbench's exec units: the corpus compiled for the 4-issue, 2-FU
+  // paper machine. The literal bodies hold 1108 non-sync ops per
+  // iteration; a 1-worker run drops every wait and send and folds the
+  // 270 shl and iadd ops of the affine address chains.
+  std::int64_t literal = 0;
+  std::int64_t folded = 0;
+  int loops = 0;
+  for (const auto& [label, loop] : bench::compile_corpus()) {
+    PipelineOptions options;
+    options.machine = machines::paper(4, 2);
+    options.iterations = 100;
+    const CompileResult compiled = compile({loop, options});
+    ASSERT_TRUE(compiled.ok()) << label;
+    const LoopExecutor executor(compiled.report);
+    ExecOptions exec;
+    exec.iterations = 10;
+    const ExecResult reference = executor.run_reference(exec);
+    const ExecResult run = executor.run(exec);
+    ASSERT_TRUE(LoopExecutor::verify(run, reference).ok()) << label;
+    ASSERT_EQ(reference.stats.ops % 10, 0) << label;
+    ASSERT_EQ(run.stats.ops % 10, 0) << label;
+    literal += reference.stats.ops / 10;
+    folded += run.stats.ops / 10;
+    ++loops;
+  }
+  EXPECT_EQ(loops, 30);
+  EXPECT_EQ(literal, 1108);
+  EXPECT_LE(folded, 838);
 }
 
 TEST(Executor, DeterministicAcrossRepeatedRuns) {
@@ -610,6 +865,10 @@ TEST(Executor, MetricsAndTraceInstrumentation) {
   const MetricSample* iters = snap.find("sbmp_exec_iterations_total");
   ASSERT_NE(iters, nullptr);
   EXPECT_EQ(iters->value, 100);
+  const MetricSample* ops = snap.find("sbmp_exec_ops_total");
+  ASSERT_NE(ops, nullptr);
+  EXPECT_GT(result.stats.ops, 0);
+  EXPECT_EQ(ops->value, result.stats.ops);
   const MetricSample* sends = snap.find("sbmp_exec_sends_total");
   ASSERT_NE(sends, nullptr);
   EXPECT_EQ(sends->value, result.stats.sends);

@@ -467,6 +467,22 @@ TEST(SbmpdDaemon, MissingDaemonIsUnavailableExitSix) {
             6);
 }
 
+TEST(SbmpdDaemon, MalformedNumericFlagIsAUsageError) {
+  // Each numeric flag is read whole: a typo exits 2 before the daemon
+  // binds its socket, instead of silently meaning 0 (one worker per
+  // hardware thread, or no in-flight cap). `timeout` turns a daemon
+  // that starts anyway into a failure, not a hang.
+  const std::string socket = temp_path("sbmpd_usage.sock");
+  for (const char* flags : {"--jobs abc", "--max-inflight 2x"}) {
+    const std::string cmd = "timeout 10 " + std::string(SBMPD_PATH) +
+                            " --socket " + socket + " " + flags +
+                            " >/dev/null 2>&1";
+    const int raw = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(raw)) << flags;
+    EXPECT_EQ(WEXITSTATUS(raw), 2) << flags;
+  }
+}
+
 TEST(SbmpdDaemon, FallbackLocalDegradesToExitZeroWithNoDaemon) {
   std::string local;
   ASSERT_EQ(run_sbmpc_capture(render_flags() + fig1_path(), &local), 0);

@@ -26,6 +26,16 @@ echo "== fault campaign (>=500 adversarial trials + mutation detection) =="
 echo "== fuzz sweep (SBMP_FUZZ_SEEDS=${SBMP_FUZZ_SEEDS:-25}) =="
 ctest --test-dir "$root/build" -L fuzz --output-on-failure -j "$jobs"
 
+echo "== numeric flags are read whole (a typo is a usage error, exit 2) =="
+# Parsed with atoi, `--chaos abc` once ran 0 chaos trials and passed,
+# which would quietly empty CI's serving-path chaos campaign.
+status=0
+"$root/build/bench/bench_serve" --chaos abc >/dev/null 2>&1 || status=$?
+if [[ "$status" -ne 2 ]]; then
+  echo "bench_serve --chaos abc exited $status, want 2" >&2
+  exit 1
+fi
+
 echo "== real-execution smoke (threads vs serial reference) =="
 "$root/build/bench/bench_exec" --check "$root/BENCH_exec.json"
 

@@ -65,6 +65,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -78,6 +79,7 @@
 #include "sbmp/serve/session.h"
 #include "sbmp/serve/transport.h"
 #include "sbmp/support/status.h"
+#include "sbmp/support/strings.h"
 
 namespace {
 
@@ -154,6 +156,23 @@ const char* next_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+/// The value of the numeric flag at argv[i]: all of the next argument as
+/// a non-negative integer of type T. Anything else is a usage error, so
+/// a typo never silently becomes 0 (which means "none" or "unlimited"
+/// for most of these flags).
+template <class T>
+T count_arg(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  const char* text = next_arg(argc, argv, i);
+  T value{};
+  if (!sbmp::parse_number(std::string_view(text), &value) || value < 0)
+    usage((flag + " wants an integer in [0, " +
+           std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+           text + "'")
+              .c_str());
+  return value;
+}
+
 /// One session over a freshly accepted socket; never throws.
 void serve_connection(ScheduleServer& server, AdmissionController& admission,
                       const SessionLimits& limits, int fd) {
@@ -198,27 +217,26 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(arg, "--metrics-dump") == 0) {
       metrics_dump = true;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = std::atoi(next_arg(argc, argv, i));
+      options.jobs = count_arg<int>(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       options.cache_dir = next_arg(argc, argv, i);
     } else if (std::strcmp(arg, "--cache-bytes") == 0) {
-      options.cache_max_bytes = std::atoll(next_arg(argc, argv, i));
-      if (options.cache_max_bytes < 0)
-        usage("--cache-bytes must be non-negative");
+      options.cache_max_bytes = count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--io-timeout-ms") == 0) {
-      limits.io_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      limits.io_timeout_ms = count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--idle-timeout-ms") == 0) {
-      limits.idle_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      limits.idle_timeout_ms = count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--max-inflight") == 0) {
-      admission_options.max_inflight = std::atoll(next_arg(argc, argv, i));
+      admission_options.max_inflight = count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--max-queue") == 0) {
-      admission_options.max_queue = std::atoll(next_arg(argc, argv, i));
+      admission_options.max_queue = count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--queue-timeout-ms") == 0) {
-      admission_options.queue_timeout_ms = std::atoll(next_arg(argc, argv, i));
+      admission_options.queue_timeout_ms =
+          count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--max-conns") == 0) {
-      max_conns = std::atoll(next_arg(argc, argv, i));
+      max_conns = count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--max-requests-per-conn") == 0) {
-      limits.max_requests = std::atoll(next_arg(argc, argv, i));
+      limits.max_requests = count_arg<std::int64_t>(argc, argv, i);
     } else if (std::strcmp(arg, "--help") == 0) {
       usage(nullptr);
     } else {
