@@ -58,8 +58,10 @@ struct ExecStats {
   /// Micro-ops interpreted: the ops of one iteration's body times the
   /// iterations, the interpreter's group- and iteration-end markers
   /// aside. run()'s body has its address arithmetic folded into its
-  /// loads and stores and holds only the sync ops that cross workers;
-  /// run_reference()'s is the literal lowering without sync ops.
+  /// loads and stores, its float ops fused with the folded load or
+  /// store beside them where they can be (a fused op counts as one),
+  /// and only the sync ops that cross workers; run_reference()'s is the
+  /// literal lowering without sync ops.
   std::int64_t ops = 0;
   /// The schedule's synchronization executions, posted or not: a run
   /// posts and awaits only the pairs that cross workers, so these are

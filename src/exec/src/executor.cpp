@@ -67,8 +67,9 @@ struct LoopExecutor::Prepared {
   Status status;
   ExecProgram program;
   /// The body in schedule group order with its affine address
-  /// arithmetic folded (fold_affine_addresses); group_ends[g] is the
-  /// index one past group g's last op.
+  /// arithmetic folded and its float ops fused (fold_affine_addresses,
+  /// fuse_float_ops); group_ends[g] is the index one past group g's
+  /// last op.
   OpSequence ordered;
   std::vector<std::size_t> group_ends;
   /// The schedule's synchronization executions over the whole run: n
@@ -180,9 +181,9 @@ std::shared_ptr<const LoopExecutor::Prepared> LoopExecutor::prepare(
                                      options.memory_seed,
                                      options.max_memory_bytes, &built->program);
   if (built->status.ok()) {
-    // Flatten the schedule into group-ordered micro-ops once, and fold
-    // their address arithmetic; workers then run over one contiguous
-    // array.
+    // Flatten the schedule into group-ordered micro-ops once, fold
+    // their address arithmetic and fuse their float ops into the folded
+    // accesses; workers then run over one contiguous array.
     for (const auto& group : schedule_.groups) {
       for (const int id : group)
         built->program.append_ops(id, &built->ordered);
@@ -190,6 +191,7 @@ std::shared_ptr<const LoopExecutor::Prepared> LoopExecutor::prepare(
     }
     fold_affine_addresses(built->program, &built->ordered,
                           &built->group_ends);
+    fuse_float_ops(built->program, &built->ordered, &built->group_ends);
     const std::int64_t n = built->program.iterations();
     for (const ExecOp& op : built->ordered.ops) {
       if (op.code == OpCode::kSend)
@@ -369,7 +371,8 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
                                   views.data(), sync, next);
     // A refused wait or gate means a peer failed and halted the run.
     if (is_access(stop->code))
-      fail(runtime_fault(body.sequence, *stop, frame.data(), memory, k));
+      fail(runtime_fault(body.sequence, *stop, frame.data(),
+                         program.iter_reg(), memory, k));
   };
 
   auto run_span = Tracer::begin(tracer, "exec_run");

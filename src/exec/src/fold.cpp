@@ -23,10 +23,20 @@ bool fits(std::uint64_t bits) {
          v <= std::numeric_limits<T>::max();
 }
 
+/// kCellAdd .. kDivCell: f[dst] = cell op f[b] or f[b] op cell.
+bool is_fused_load(OpCode code) {
+  return code >= OpCode::kCellAdd && code <= OpCode::kDivCell;
+}
+
+/// kStoreAdd .. kStoreDiv: cell = f[dst] op f[b].
+bool is_fused_store(OpCode code) {
+  return code >= OpCode::kStoreAdd && code <= OpCode::kStoreDiv;
+}
+
 /// The slot `op` writes, or -1.
 std::int32_t written_slot(const ExecOp& op) {
   return is_pure(op.code) || op.code == OpCode::kLoad ||
-                 op.code == OpCode::kFoldedLoad
+                 op.code == OpCode::kFoldedLoad || is_fused_load(op.code)
              ? op.dst
              : -1;
 }
@@ -34,6 +44,15 @@ std::int32_t written_slot(const ExecOp& op) {
 /// Calls `read(slot)` for every slot `op` reads.
 template <class Read>
 void for_each_read(const ExecOp& op, Read&& read) {
+  if (is_fused_load(op.code)) {
+    read(op.b);
+    return;
+  }
+  if (is_fused_store(op.code)) {
+    read(op.dst);
+    read(op.b);
+    return;
+  }
   switch (op.code) {
     case OpCode::kIntToFloat:
     case OpCode::kFloatToInt:
@@ -42,10 +61,8 @@ void for_each_read(const ExecOp& op, Read&& read) {
       return;
     case OpCode::kFoldedStore:
       read(op.dst);
-      [[fallthrough]];
-    case OpCode::kFoldedLoad:
-      read(op.b);
       return;
+    case OpCode::kFoldedLoad:
     case OpCode::kWait:
     case OpCode::kSend:
     case OpCode::kGroupEnd:
@@ -90,6 +107,25 @@ Affine transfer(const ExecOp& op, const Affine& x, const Affine& y) {
   }
 }
 
+/// Removes the ops of `body` whose `keep` entry is 0; `group_ends`
+/// follows.
+void drop_ops(const std::vector<char>& keep, OpSequence* body,
+              std::vector<std::size_t>* group_ends) {
+  std::size_t out = 0;
+  std::size_t i = 0;
+  for (std::size_t& end : *group_ends) {
+    for (; i < end; ++i) {
+      if (keep[i] == 0) continue;
+      body->ops[out] = body->ops[i];
+      body->ids[out] = body->ids[i];
+      ++out;
+    }
+    end = out;
+  }
+  body->ops.resize(out);
+  body->ids.resize(out);
+}
+
 }  // namespace
 
 void fold_affine_addresses(const ExecProgram& program, OpSequence* body,
@@ -126,7 +162,6 @@ void fold_affine_addresses(const ExecProgram& program, OpSequence* body,
         folded.array = static_cast<std::uint16_t>(array);
         folded.dst = load ? op.dst : op.b;
         folded.a = static_cast<std::int32_t>(addr.beta);
-        folded.b = iter_reg;
         op = folded;
       }
     }
@@ -158,19 +193,87 @@ void fold_affine_addresses(const ExecProgram& program, OpSequence* body,
     }
   }
 
-  std::size_t out = 0;
-  std::size_t i = 0;
-  for (std::size_t& end : *group_ends) {
-    for (; i < end; ++i) {
-      if (keep[i] == 0) continue;
-      ops[out] = ops[i];
-      body->ids[out] = body->ids[i];
-      ++out;
+  drop_ops(keep, body, group_ends);
+}
+
+void fuse_float_ops(const ExecProgram& program, OpSequence* body,
+                    std::vector<std::size_t>* group_ends) {
+  std::vector<ExecOp>& ops = body->ops;
+  const std::size_t slots = program.frame_size();
+  const auto at = [](std::int32_t slot) {
+    return static_cast<std::size_t>(slot);
+  };
+  std::vector<std::int64_t> reads(slots, 0);
+  for (const ExecOp& op : ops)
+    for_each_read(op, [&](std::int32_t slot) { ++reads[at(slot)]; });
+  std::vector<char> keep(ops.size(), 1);
+  // Positions are counted from 1 so that 0 means none: last_write[s] is
+  // the last op before the one at hand that writes slot s, and "no op
+  // between the ops at p and q writes s" is last_write[s] < p.
+  std::vector<std::size_t> last_write(slots, 0);
+  const auto op_at = [&](std::size_t position) -> ExecOp& {
+    return ops[position - 1];
+  };
+  // The fused code of float op `code` in the run of four that starts at
+  // `base`.
+  const auto fused = [](OpCode base, OpCode code) {
+    return static_cast<OpCode>(static_cast<int>(base) +
+                               static_cast<int>(code) -
+                               static_cast<int>(OpCode::kFloatAdd));
+  };
+
+  // Stores: the float op whose result only this folded store reads moves
+  // down onto it, unless an op between them writes one of its operands.
+  for (std::size_t q = 1; q <= ops.size(); ++q) {
+    ExecOp& op = op_at(q);
+    if (op.code == OpCode::kFoldedStore && reads[at(op.dst)] == 1) {
+      const std::size_t p = last_write[at(op.dst)];
+      if (p != 0 && is_float_arith(op_at(p).code) &&
+          last_write[at(op_at(p).a)] < p && last_write[at(op_at(p).b)] < p) {
+        op.code = fused(OpCode::kStoreAdd, op_at(p).code);
+        op.dst = op_at(p).a;
+        op.b = op_at(p).b;
+        keep[p - 1] = 0;
+      }
     }
-    end = out;
+    if (const std::int32_t slot = written_slot(op); slot >= 0)
+      last_write[at(slot)] = q;
   }
-  ops.resize(out);
-  body->ids.resize(out);
+
+  // Loads: a float op moves up onto the folded load whose value only it
+  // reads, unless an op between them writes its other operand or reads
+  // or writes its result.
+  std::fill(last_write.begin(), last_write.end(), 0);
+  std::vector<std::size_t> last_read(slots, 0);
+  for (std::size_t q = 1; q <= ops.size(); ++q) {
+    if (keep[q - 1] == 0) continue;
+    const ExecOp& op = op_at(q);
+    // Moves `op` onto the load of its operand `value`; `other` is the
+    // operand it keeps reading from the frame.
+    const auto fuse = [&](std::int32_t value, std::int32_t other,
+                          OpCode base) {
+      const std::size_t p = last_write[at(value)];
+      if (p == 0 || op_at(p).code != OpCode::kFoldedLoad ||
+          reads[at(value)] != 1 || last_write[at(other)] >= p ||
+          last_write[at(op.dst)] > p || last_read[at(op.dst)] >= p)
+        return false;
+      ExecOp& load = op_at(p);
+      load.code = fused(base, op.code);
+      load.dst = op.dst;
+      load.b = other;
+      last_write[at(op.dst)] = p;
+      last_read[at(other)] = std::max(last_read[at(other)], p);
+      keep[q - 1] = 0;
+      return true;
+    };
+    if (is_float_arith(op.code) && (fuse(op.a, op.b, OpCode::kCellAdd) ||
+                                    fuse(op.b, op.a, OpCode::kAddCell)))
+      continue;
+    for_each_read(op, [&](std::int32_t slot) { last_read[at(slot)] = q; });
+    if (const std::int32_t slot = written_slot(op); slot >= 0)
+      last_write[at(slot)] = q;
+  }
+  drop_ops(keep, body, group_ends);
 }
 
 }  // namespace sbmp

@@ -336,13 +336,12 @@ std::vector<ArrayView> array_views(ExecMemory& memory) {
 }
 
 Status runtime_fault(const OpSequence& sequence, const ExecOp& op,
-                     const std::uint64_t* frame, const ExecMemory& memory,
-                     std::int64_t k) {
+                     const std::uint64_t* frame, std::int32_t iter,
+                     const ExecMemory& memory, std::int64_t k) {
   const auto index = static_cast<std::size_t>(&op - sequence.ops.data());
-  const bool folded =
-      op.code == OpCode::kFoldedLoad || op.code == OpCode::kFoldedStore;
+  const bool folded = is_folded(op.code);
   const auto addr = static_cast<std::int64_t>(
-      folded ? folded_address(op, frame[op.b]) : frame[op.a]);
+      folded ? folded_address(op, frame[iter]) : frame[op.a]);
   const std::int32_t array = folded                       ? op.array
                              : op.code == OpCode::kLoad ? op.b
                                                         : op.dst;
@@ -394,7 +393,8 @@ Status run_reference_interp(const ExecProgram& program, ExecMemory* memory,
         return true;
       });
   if (stop->code != OpCode::kIterationEnd)
-    return runtime_fault(body, *stop, frame.data(), *memory, k);
+    return runtime_fault(body, *stop, frame.data(), program.iter_reg(),
+                         *memory, k);
   *ops = sat_mul(static_cast<std::int64_t>(body.ops.size() - 1), n);
   return Status::okay();
 }

@@ -9,9 +9,10 @@
 // semantics of every op once and runs a worker's whole share of a run
 // in one call: every body ends in an iteration-end op that starts the
 // next iteration. LoopExecutor::run interprets the ops in schedule
-// group order with live synchronization and its address arithmetic
-// folded into the loads and stores; run_reference_interp interprets the
-// literal ops in program order without synchronization.
+// group order with live synchronization, its address arithmetic folded
+// into the loads and stores and its float ops fused with them;
+// run_reference_interp interprets the literal ops in program order
+// without synchronization.
 
 #include <cstdint>
 #include <string>
@@ -27,8 +28,10 @@
 namespace sbmp {
 
 /// The TAC opcode with the int/real split resolved at build time, plus
-/// the explicit operand conversions, the folded accesses and the two
-/// markers the interpreter stops at. The pure ops come first.
+/// the explicit operand conversions, the folded and fused accesses and
+/// the two markers the interpreter stops at. The pure ops come first;
+/// each run of four float ops, literal or fused, is in the order add,
+/// sub, mul, div.
 enum class OpCode : std::uint8_t {
   kIntAdd,
   kIntSub,
@@ -45,6 +48,18 @@ enum class OpCode : std::uint8_t {
   kStore,
   kFoldedLoad,
   kFoldedStore,
+  kCellAdd,
+  kCellSub,
+  kCellMul,
+  kCellDiv,
+  kAddCell,
+  kSubCell,
+  kMulCell,
+  kDivCell,
+  kStoreAdd,
+  kStoreSub,
+  kStoreMul,
+  kStoreDiv,
   kWait,
   kSend,
   kGroupEnd,
@@ -56,9 +71,19 @@ enum class OpCode : std::uint8_t {
   return code <= OpCode::kFloatToInt;
 }
 
-/// Loads and stores, literal or folded: the ops that can fault.
+/// kFloatAdd, kFloatSub, kFloatMul and kFloatDiv.
+[[nodiscard]] inline bool is_float_arith(OpCode code) {
+  return code >= OpCode::kFloatAdd && code <= OpCode::kFloatDiv;
+}
+
+/// Loads and stores, literal, folded or fused: the ops that can fault.
 [[nodiscard]] inline bool is_access(OpCode code) {
-  return code >= OpCode::kLoad && code <= OpCode::kFoldedStore;
+  return code >= OpCode::kLoad && code <= OpCode::kStoreDiv;
+}
+
+/// The accesses whose address is alpha * I + a.
+[[nodiscard]] inline bool is_folded(OpCode code) {
+  return code >= OpCode::kFoldedLoad && code <= OpCode::kStoreDiv;
 }
 
 /// One micro-op; `f` is the frame.
@@ -66,20 +91,23 @@ enum class OpCode : std::uint8_t {
 ///   arithmetic, conversions  f[dst] = op(f[a], f[b])
 ///   kLoad                    f[dst] = array b at byte address f[a]
 ///   kStore                   array dst at byte address f[a] = f[b]
-///   kFoldedLoad              f[dst] = array `array` at byte address
-///                            alpha * f[b] + a
-///   kFoldedStore             array `array` at byte address
-///                            alpha * f[b] + a = f[dst]
+///   kFoldedLoad              f[dst] = cell
+///   kFoldedStore             cell = f[dst]
+///   kCellAdd .. kCellDiv     f[dst] = cell op f[b]
+///   kAddCell .. kDivCell     f[dst] = f[b] op cell
+///   kStoreAdd .. kStoreDiv   cell = f[dst] op f[b]
 ///   kWait                    signal statement dst, distance in (a, b)
 ///   kSend                    signal statement dst
 ///   kGroupEnd                the end of an issue group
 ///   kIterationEnd            the end of the body
 ///
-/// In a folded access `alpha` and `a` are sign-extended and the
-/// arithmetic wraps; f[b] is the iteration register.
+/// In a folded or fused access, `cell` is array `array` at byte address
+/// alpha * I + a, where I is the iteration register, `alpha` and `a` are
+/// sign-extended and the arithmetic wraps. A fused op is one float op
+/// and the folded access it reads from or stores to (fuse_float_ops).
 struct ExecOp {
   OpCode code = OpCode::kIntAdd;
-  /// kFoldedLoad, kFoldedStore: the form's multiplier and array, in
+  /// Folded and fused accesses: the form's multiplier and array, in
   /// what would be padding.
   std::int8_t alpha = 0;
   std::uint16_t array = 0;
@@ -96,8 +124,8 @@ struct ExecOp {
 };
 static_assert(sizeof(ExecOp) == 16);
 
-/// The byte address of a kFoldedLoad or kFoldedStore in an iteration
-/// whose iteration register holds `i`.
+/// The byte address of a folded or fused access in an iteration whose
+/// iteration register holds `i`.
 [[nodiscard]] inline std::uint64_t folded_address(const ExecOp& op,
                                                   std::uint64_t i) {
   const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
@@ -144,9 +172,9 @@ struct ArrayView {
 /// `arrays`, iteration after iteration. The body ends in a
 /// kIterationEnd: `next()` either prepares the next iteration and
 /// returns true, and the body runs again from `op`, or returns false.
-/// Folded accesses read the iteration register, slot `iter`, once per
-/// iteration, when it starts: a body that holds them has no op that
-/// writes that register.
+/// Folded and fused accesses read the iteration register, slot `iter`,
+/// once per iteration, when it starts: a body that holds them has no op
+/// that writes that register.
 /// kWait, kSend and kGroupEnd go to `sync(op)`, which returns false to
 /// stop. Returns the op that stopped: a load or store whose address
 /// faulted, an op `sync` refused, or the kIterationEnd `next()` refused.
@@ -171,7 +199,10 @@ template <class Sync, class Next>
       &&int_add,     &&int_sub,      &&int_mul,      &&int_div,
       &&shl,         &&float_add,    &&float_sub,    &&float_mul,
       &&float_div,   &&int_to_float, &&float_to_int, &&load,
-      &&store,       &&folded_load,  &&folded_store, &&sync_op,
+      &&store,       &&folded_load,  &&folded_store, &&cell_add,
+      &&cell_sub,    &&cell_mul,     &&cell_div,     &&add_cell,
+      &&sub_cell,    &&mul_cell,     &&div_cell,     &&store_add,
+      &&store_sub,   &&store_mul,    &&store_div,    &&sync_op,
       &&sync_op,     &&sync_op,      &&iteration_end,
   };
   static_assert(sizeof kHandlers / sizeof kHandlers[0] ==
@@ -183,10 +214,14 @@ template <class Sync, class Next>
     return static_cast<std::int64_t>(bits);
   };
   const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  const auto d = [](std::uint64_t bits) { return exec_double_of(bits); };
   const ExecOp* const first = op;
   // The iteration register, held in a register: reading it from the
   // frame on every folded access costs as much as the fold saves.
   std::uint64_t iteration = f[iter];
+  const auto folded_cell = [arrays](const ExecOp* o, std::uint64_t at) {
+    return cell_at(arrays[o->array], folded_address(*o, at));
+  };
   goto* handler(op);
 
 int_add:
@@ -205,26 +240,22 @@ shl:
   f[op->dst] = u(exec_ishl(i(f[op->a]), i(f[op->b])));
   goto* handler(++op);
 float_add:
-  f[op->dst] =
-      exec_bits_of(exec_double_of(f[op->a]) + exec_double_of(f[op->b]));
+  f[op->dst] = exec_bits_of(d(f[op->a]) + d(f[op->b]));
   goto* handler(++op);
 float_sub:
-  f[op->dst] =
-      exec_bits_of(exec_double_of(f[op->a]) - exec_double_of(f[op->b]));
+  f[op->dst] = exec_bits_of(d(f[op->a]) - d(f[op->b]));
   goto* handler(++op);
 float_mul:
-  f[op->dst] =
-      exec_bits_of(exec_double_of(f[op->a]) * exec_double_of(f[op->b]));
+  f[op->dst] = exec_bits_of(d(f[op->a]) * d(f[op->b]));
   goto* handler(++op);
 float_div:
-  f[op->dst] =
-      exec_bits_of(exec_double_of(f[op->a]) / exec_double_of(f[op->b]));
+  f[op->dst] = exec_bits_of(d(f[op->a]) / d(f[op->b]));
   goto* handler(++op);
 int_to_float:
   f[op->dst] = exec_bits_of(static_cast<double>(i(f[op->a])));
   goto* handler(++op);
 float_to_int:
-  f[op->dst] = u(exec_f2i(exec_double_of(f[op->a])));
+  f[op->dst] = u(exec_f2i(d(f[op->a])));
   goto* handler(++op);
 load: {
   const std::uint64_t* cell = cell_at(arrays[op->b], f[op->a]);
@@ -239,17 +270,89 @@ store: {
   goto* handler(++op);
 }
 folded_load: {
-  const std::uint64_t* cell =
-      cell_at(arrays[op->array], folded_address(*op, iteration));
+  const std::uint64_t* cell = folded_cell(op, iteration);
   if (cell == nullptr) return op;
   f[op->dst] = *cell;
   goto* handler(++op);
 }
 folded_store: {
-  std::uint64_t* cell =
-      cell_at(arrays[op->array], folded_address(*op, iteration));
+  std::uint64_t* cell = folded_cell(op, iteration);
   if (cell == nullptr) return op;
   *cell = f[op->dst];
+  goto* handler(++op);
+}
+// The fused ops: a folded access and the float op that moved onto it.
+// The cell is read or written where the access stands.
+cell_add: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(*cell) + d(f[op->b]));
+  goto* handler(++op);
+}
+cell_sub: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(*cell) - d(f[op->b]));
+  goto* handler(++op);
+}
+cell_mul: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(*cell) * d(f[op->b]));
+  goto* handler(++op);
+}
+cell_div: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(*cell) / d(f[op->b]));
+  goto* handler(++op);
+}
+add_cell: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(f[op->b]) + d(*cell));
+  goto* handler(++op);
+}
+sub_cell: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(f[op->b]) - d(*cell));
+  goto* handler(++op);
+}
+mul_cell: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(f[op->b]) * d(*cell));
+  goto* handler(++op);
+}
+div_cell: {
+  const std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  f[op->dst] = exec_bits_of(d(f[op->b]) / d(*cell));
+  goto* handler(++op);
+}
+store_add: {
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[op->dst]) + d(f[op->b]));
+  goto* handler(++op);
+}
+store_sub: {
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[op->dst]) - d(f[op->b]));
+  goto* handler(++op);
+}
+store_mul: {
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[op->dst]) * d(f[op->b]));
+  goto* handler(++op);
+}
+store_div: {
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[op->dst]) / d(f[op->b]));
   goto* handler(++op);
 }
 sync_op:
@@ -285,6 +388,25 @@ class ExecProgram;
 void fold_affine_addresses(const ExecProgram& program, OpSequence* body,
                            std::vector<std::size_t>* group_ends);
 
+/// Rewrites a folded `body` (fold_affine_addresses) so that float ops
+/// travel on the folded accesses next to them, in two walks:
+///
+/// * A float op whose result only a kFoldedStore reads, and whose
+///   operands no op between them writes, moves down onto that store:
+///   kStoreAdd .. kStoreDiv.
+/// * Then a float op moves up onto the kFoldedLoad whose value only it
+///   reads, when no op between them writes its other operand or reads
+///   or writes its result: kCellAdd .. kCellDiv when the cell is the
+///   first operand, kAddCell .. kDivCell when it is the second.
+///
+/// Only arithmetic moves: every access and every sync op keeps its
+/// place and order, and a fused op keeps its access's TAC id. So the
+/// result leaves memory, every fault with its message, and every post
+/// and await as `body` would, for every worker count and spin.
+/// `group_ends` follows.
+void fuse_float_ops(const ExecProgram& program, OpSequence* body,
+                    std::vector<std::size_t>* group_ends);
+
 /// A LoopReport's TAC lowered to micro-ops for one concrete iteration
 /// count and memory seed: operand types resolved, array indexes
 /// resolved, bounds, live-ins and constants precomputed.
@@ -309,6 +431,8 @@ class ExecProgram {
   [[nodiscard]] std::int64_t iterations() const { return iterations_; }
   [[nodiscard]] std::int64_t lower() const { return lower_; }
   [[nodiscard]] int iter_reg() const { return iter_reg_; }
+  /// Slots in a frame: registers, constants and conversion scratch.
+  [[nodiscard]] std::size_t frame_size() const { return frame_size_; }
   [[nodiscard]] int signal_width() const { return signal_width_; }
   /// Over every wait, including those dropped for having no send.
   [[nodiscard]] std::int64_t max_wait_distance() const {
@@ -350,13 +474,14 @@ class ExecProgram {
   std::int64_t max_wait_distance_ = 0;
 };
 
-/// The kInternal status of `op`, a load or store of `sequence`, literal
-/// or folded, faulting in iteration `k` over `frame` and `memory`. Built
-/// only once a run has stopped, so the interpreter carries no message
-/// state.
+/// The kInternal status of `op`, an access of `sequence`, literal,
+/// folded or fused, faulting in iteration `k` over `frame`, whose
+/// iteration register is slot `iter`, and `memory`. Built only once a
+/// run has stopped, so the interpreter carries no message state.
 [[nodiscard]] Status runtime_fault(const OpSequence& sequence,
                                    const ExecOp& op,
                                    const std::uint64_t* frame,
+                                   std::int32_t iter,
                                    const ExecMemory& memory, std::int64_t k);
 
 /// Serial reference semantics: iterations in order, the literal body in

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -306,14 +307,19 @@ end
   }
 }
 
-/// The paper example with one edit to its compiled TAC, run through the
+/// The loop `source` with one edit to its compiled TAC, run through the
 /// public constructor with the compiled schedule.
 template <class Edit>
-LoopExecutor mutated_paper_example(Edit&& edit) {
-  const LoopReport report = compile_one(kPaperExample);
+LoopExecutor mutated_loop(const char* source, Edit&& edit) {
+  const LoopReport report = compile_one(source);
   TacFunction tac = report.tac;
   edit(tac);
   return LoopExecutor(report.loop, std::move(tac), report.schedule);
+}
+
+template <class Edit>
+LoopExecutor mutated_paper_example(Edit&& edit) {
+  return mutated_loop(kPaperExample, std::forward<Edit>(edit));
 }
 
 /// Runs at 1 and 2 workers and the serial reference; all three must
@@ -392,14 +398,16 @@ TEST(Executor, MalformedSyncPayloadIsATypedRefusal) {
   EXPECT_EQ(moved.stats.waits, expected.stats.waits);
 }
 
-/// The paper example with the address of its `op` on `array` at
-/// subscript offset `offset` edited. Codegen computes that address as
-/// `t = I + offset; addr = t << 2`: `skew` is added to the offset,
-/// wrapping around, and `shift` replaces the scaling.
+/// The loop `source`, by default the paper example, with the address of
+/// its `op` on `array` at subscript offset `offset` edited. Codegen
+/// computes that address as `t = I + offset; addr = t << 2`: `skew` is
+/// added to the offset, wrapping around, and `shift` replaces the
+/// scaling.
 LoopExecutor mutated_address(Opcode op, const std::string& array,
                              std::int64_t offset, std::int64_t skew,
-                             std::int64_t shift) {
-  return mutated_paper_example([&](TacFunction& tac) {
+                             std::int64_t shift,
+                             const char* source = kPaperExample) {
+  return mutated_loop(source, [&](TacFunction& tac) {
     for (const auto& access : tac.instrs) {
       if (access.op != op || access.array != array ||
           access.mem_index.offset != offset)
@@ -711,10 +719,13 @@ TEST(AddressFold, BodyThatWritesTheIterationRegisterFoldsNothing) {
 TEST(AddressFold, CorpusBodiesShrinkByTheirAddressArithmetic) {
   // clockbench's exec units: the corpus compiled for the 4-issue, 2-FU
   // paper machine. The literal bodies hold 1108 non-sync ops per
-  // iteration; a 1-worker run drops every wait and send and folds the
-  // 270 shl and iadd ops of the affine address chains.
+  // iteration. A 1-worker run drops every wait and send and folds the
+  // 270 shl and iadd ops of the affine address chains, leaving 838; the
+  // fusion then moves 332 of the 335 float ops onto a folded access.
+  // More workers keep the waits their count does not divide, and the
+  // sends those read.
   std::int64_t literal = 0;
-  std::int64_t folded = 0;
+  std::int64_t fused[3] = {};
   int loops = 0;
   for (const auto& [label, loop] : bench::compile_corpus()) {
     PipelineOptions options;
@@ -726,17 +737,200 @@ TEST(AddressFold, CorpusBodiesShrinkByTheirAddressArithmetic) {
     ExecOptions exec;
     exec.iterations = 10;
     const ExecResult reference = executor.run_reference(exec);
-    const ExecResult run = executor.run(exec);
-    ASSERT_TRUE(LoopExecutor::verify(run, reference).ok()) << label;
     ASSERT_EQ(reference.stats.ops % 10, 0) << label;
-    ASSERT_EQ(run.stats.ops % 10, 0) << label;
     literal += reference.stats.ops / 10;
-    folded += run.stats.ops / 10;
+    for (const int threads : {1, 2, 3}) {
+      exec.threads = threads;
+      const ExecResult run = executor.run(exec);
+      ASSERT_TRUE(LoopExecutor::verify(run, reference).ok()) << label;
+      ASSERT_EQ(run.stats.ops % 10, 0) << label;
+      fused[threads - 1] += run.stats.ops / 10;
+    }
     ++loops;
   }
   EXPECT_EQ(loops, 30);
   EXPECT_EQ(literal, 1108);
-  EXPECT_LE(folded, 838);
+  EXPECT_EQ(fused[0], 506);
+  EXPECT_EQ(fused[1], 583);
+  EXPECT_EQ(fused[2], 596);
+}
+
+// ---------------------------------------------------------------------
+// Float fusion: run() moves each float op onto the folded load whose
+// value only it reads, or the folded store that alone takes its result,
+// when no op between them disturbs its operands or its result; every
+// access and sync op stays where it was. The literal reference fuses
+// nothing, so each case ends every run as the reference ends.
+
+/// The TAC instruction `op` on `array`; the first when there are several.
+TacInstr& access_of(TacFunction& tac, Opcode op, const std::string& array) {
+  for (TacInstr& instr : tac.instrs)
+    if (instr.op == op && instr.array == array) return instr;
+  ADD_FAILURE() << "no access to " << array;
+  return tac.instrs.front();
+}
+
+/// The first instruction of `tac` that reads register `reg` as `a`.
+TacInstr& reader_of(TacFunction& tac, int reg) {
+  for (TacInstr& instr : tac.instrs)
+    if (instr.a.is_reg() && instr.a.reg == reg) return instr;
+  ADD_FAILURE() << "no reader of t" << reg;
+  return tac.instrs.front();
+}
+
+/// Expects every run of runs_at_1_2_3 to interpret `ops` micro-ops.
+void expect_ops(const LoopExecutor& executor, std::int64_t ops) {
+  ExecOptions options;
+  options.iterations = 100;
+  for (const ExecResult& result : runs_at_1_2_3(executor, options)) {
+    ASSERT_TRUE(result.ok()) << result.status.to_string();
+    EXPECT_EQ(result.stats.ops, ops);
+  }
+}
+
+TEST(FloatFusion, EveryFormLeavesTheHandComputedCells) {
+  // Each statement after the first loads A[I] = 2I into one float op
+  // and stores a second one's result. The load and the first op fuse,
+  // A[I] as its first operand or its second, and the second op and the
+  // store fuse: the twelve fused forms, each statement in two ops.
+  const LoopReport report = compile_one(R"(
+doacross I = 1, 100
+  A[I] = I + I
+  B[I] = (A[I] + 3) - 1
+  C[I] = (3 + A[I]) * 2
+  D[I] = (A[I] - 3) / 4
+  E[I] = (3 - A[I]) + 1
+  F[I] = (A[I] * 3) - 1
+  G[I] = (3 * A[I]) * 2
+  H[I] = (A[I] / 4) / 2
+  K[I] = (4 / A[I]) + 1
+end
+)");
+  const LoopExecutor executor(report);
+  const ExecResult reference = expect_same_as_reference(executor);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  std::map<std::string, const ExecArray*> arrays;
+  for (const auto& arr : reference.memory.arrays) arrays[arr.name] = &arr;
+  for (std::int64_t i = 1; i <= 100; ++i) {
+    const double a = static_cast<double>(2 * i);
+    const std::map<std::string, double> expected = {
+        {"A", a},
+        {"B", (a + 3) - 1},
+        {"C", (3 + a) * 2},
+        {"D", (a - 3) / 4},
+        {"E", (3 - a) + 1},
+        {"F", (a * 3) - 1},
+        {"G", (3 * a) * 2},
+        {"H", (a / 4) / 2},
+        {"K", (4 / a) + 1},
+    };
+    for (const auto& [name, value] : expected) {
+      ASSERT_EQ(arrays.count(name), 1u) << name;
+      EXPECT_EQ(arrays[name]->cells[static_cast<std::size_t>(i - 1)],
+                exec_bits_of(value))
+          << name << "[" << i << "]";
+    }
+  }
+  // A[I]'s statement keeps `I + I`, its conversion and its store.
+  expect_ops(executor, 100 * (3 + 8 * 2));
+}
+
+TEST(FloatFusion, AWriteBetweenAnOpAndItsAccessKeepsThemApart) {
+  const LoopReport report = compile_one(R"(
+doacross I = 1, 100
+  B[I] = (A[I] + C[I] * 3) * 2
+  X[I] = Y[I] * Z[I]
+  W[I] = V[I] + 1
+end
+)");
+  // In program order the load of A[I] comes before `C[I] * 3`, which
+  // writes the other operand of `A[I] + t`: that op may not move up onto
+  // the load, where it would read the previous iteration's product.
+  const TacFunction& tac = report.tac;
+  expect_same_as_reference(
+      LoopExecutor(report.loop, tac, program_order_schedule(tac)));
+
+  // The load of V[I] is edited to write the register of Y[I], which
+  // `Y[I] * Z[I]` has read, and scheduled between that op and its store:
+  // the op may not move down onto the store, where it would read V[I].
+  TacFunction edited = tac;
+  const int y = access_of(edited, Opcode::kLoad, "Y").dst;
+  TacInstr& load_v = access_of(edited, Opcode::kLoad, "V");
+  reader_of(edited, load_v.dst).a = Operand::r(y);
+  load_v.dst = y;
+  const int store_x = access_of(edited, Opcode::kStore, "X").id;
+  std::vector<int> order;
+  for (const TacInstr& instr : edited.instrs) {
+    if (instr.id == load_v.id) continue;
+    if (instr.id == store_x) order.push_back(load_v.id);
+    order.push_back(instr.id);
+  }
+  const LoopExecutor executor(report.loop, edited, schedule_in(order));
+  ASSERT_TRUE(executor.setup_status().ok())
+      << executor.setup_status().to_string();
+  const ExecResult reference = expect_same_as_reference(executor);
+  ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+  // The edit keeps the loop's meaning, X[I] = Y[I] * Z[I] and W[I] =
+  // V[I] + 1: V[I] reaches Y's register only after the product read it.
+  ExecOptions options;
+  options.iterations = 100;
+  EXPECT_EQ(reference.fingerprint,
+            LoopExecutor(report).run_reference(options).fingerprint);
+}
+
+constexpr const char* kTwoStatements = R"(
+doacross I = 1, 100
+  B[I] = (A[I] + 1) * 2
+  C[I] = (A[I] - 1) * 3
+end
+)";
+
+TEST(FloatFusion, AValueWithASecondReaderStaysInTheFrame) {
+  // Unedited, each statement runs as a fused load and a fused store.
+  const LoopReport report = compile_one(kTwoStatements);
+  expect_ops(LoopExecutor(report), 100 * 4);
+  // `A[I] - 1` is edited to read B's load of A[I], and then the value B
+  // stores. Either value now has two readers, so its load or float op
+  // stays whole and writes the frame: six ops per iteration.
+  for (const bool stored : {false, true}) {
+    TacFunction tac = report.tac;
+    TacInstr& load_b = access_of(tac, Opcode::kLoad, "A");
+    const int value = stored ? access_of(tac, Opcode::kStore, "B").b.reg
+                             : load_b.dst;
+    int second_load = 0;
+    for (const TacInstr& instr : tac.instrs)
+      if (instr.op == Opcode::kLoad && instr.id != load_b.id)
+        second_load = instr.dst;
+    ASSERT_NE(second_load, 0);
+    reader_of(tac, second_load).a = Operand::r(value);
+    const LoopExecutor executor(report.loop, tac, program_order_schedule(tac));
+    const ExecResult reference = expect_same_as_reference(executor);
+    ASSERT_TRUE(reference.ok()) << reference.status.to_string();
+    expect_ops(executor, 100 * 6);
+  }
+}
+
+TEST(FloatFusion, FusedAccessesFaultLikeTheReference) {
+  // E[I-2] fuses with `+ 1` and D[I-3] with `* 2`; the planned extents
+  // are E [-1, 98] and D [-2, 97]. Skewed one element down, only
+  // iteration 0 leaves an extent, so every engine reports that fault,
+  // the fused op naming its access's instruction.
+  constexpr const char* kShifted = R"(
+doacross I = 1, 100
+  D[I-3] = (E[I-2] + 1) * 2
+end
+)";
+  expect_ops(LoopExecutor(compile_one(kShifted)), 100 * 2);
+  const ExecResult load = expect_same_as_reference(
+      mutated_address(Opcode::kLoad, "E", -2, -1, 2, kShifted));
+  EXPECT_EQ(load.status.message,
+            "runtime fault at instruction 5, iteration 0: E[-2] outside "
+            "planned extent [-1, 98]");
+  const ExecResult store = expect_same_as_reference(
+      mutated_address(Opcode::kStore, "D", -3, -1, 2, kShifted));
+  EXPECT_EQ(store.status.message,
+            "runtime fault at instruction 8, iteration 0: D[-3] outside "
+            "planned extent [-2, 97]");
 }
 
 TEST(Executor, DeterministicAcrossRepeatedRuns) {
@@ -1301,12 +1495,19 @@ TEST_P(ExecFuzz, GeneratedLoopsExecuteByteIdenticalToReference) {
       0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(GetParam());
   const ExecResult reference = executor.run_reference(exec_options);
   ASSERT_TRUE(reference.ok()) << reference.status.to_string();
-  for (const int threads : {1, 2, 3, 8}) {
+  // The last run spins after every group, so its body carries the
+  // group-end markers between the fused ops.
+  const struct {
+    int threads;
+    std::int64_t spin_ns;
+  } runs[] = {{1, 0}, {2, 0}, {3, 0}, {8, 0}, {2, 1}};
+  for (const auto& [threads, spin_ns] : runs) {
     exec_options.threads = threads;
+    exec_options.spin_ns_per_group = spin_ns;
     const ExecResult result = executor.run(exec_options);
     ASSERT_TRUE(result.ok()) << result.status.to_string();
     ASSERT_EQ(result.fingerprint, reference.fingerprint)
-        << "threads=" << threads << " loop:\n"
+        << "threads=" << threads << " spin_ns=" << spin_ns << " loop:\n"
         << loop.to_string() << "\n"
         << ExecMemory::first_difference(result.memory, reference.memory);
     ASSERT_TRUE(LoopExecutor::verify(result, reference).ok());
