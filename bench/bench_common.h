@@ -381,11 +381,17 @@ inline CompilePerf run_compile_perf(int reps = 7) {
   // parallelism look like a loss). Each jobs level takes the best of
   // `reps` passes to shed scheduler noise; the whole curve lands in the
   // JSON so trajectory tooling sees the knee, while the jobs1/jobs8
-  // scalars keep feeding the scaling gate unchanged.
+  // scalars keep feeding the scaling gate unchanged. A pass compiles
+  // the corpus repeated to kScalingRequests requests: the corpus alone
+  // lasts about a millisecond at jobs 1, so the ratio read where the
+  // host placed the pool's threads rather than what the batch fan-out
+  // does.
+  constexpr std::size_t kScalingRequests = 1920;
   std::vector<CompileRequest> requests;
-  requests.reserve(corpus.size());
-  for (const auto& target : corpus)
-    requests.push_back({target.loop, options});
+  requests.reserve(kScalingRequests + corpus.size());
+  while (!corpus.empty() && requests.size() < kScalingRequests)
+    for (const auto& target : corpus)
+      requests.push_back({target.loop, options});
   for (const int jobs : {1, 2, 4, 8, 16}) {
     CompileBatchOptions batch;
     batch.jobs = jobs;

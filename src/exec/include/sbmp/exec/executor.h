@@ -59,9 +59,11 @@ struct ExecStats {
   /// iterations, the interpreter's group- and iteration-end markers
   /// aside. run()'s body has its address arithmetic folded into its
   /// loads and stores, its float ops fused with the folded load or
-  /// store beside them where they can be (a fused op counts as one),
-  /// and only the sync ops that cross workers; run_reference()'s is the
-  /// literal lowering without sync ops.
+  /// store beside them where they can be, a proven load merged into the
+  /// fused store it feeds (a fused or merged op counts as one), and only
+  /// the sync ops that cross workers, so the count depends on the
+  /// worker count but not on the spin; run_reference()'s is the literal
+  /// lowering without sync ops.
   std::int64_t ops = 0;
   /// The schedule's synchronization executions, posted or not: a run
   /// posts and awaits only the pairs that cross workers, so these are
@@ -70,6 +72,11 @@ struct ExecStats {
   std::int64_t waits = 0;          ///< Wait_Signal with a live partner
   std::int64_t blocked_waits = 0;  ///< signal waits that parked
   std::int64_t gate_blocks = 0;    ///< ring-reuse gate parks
+  /// run(): ns spent copying the prepared image into the result, before
+  /// the execution region, and computing the result's fingerprint,
+  /// after it (0 for reference runs).
+  std::int64_t copy_ns = 0;
+  std::int64_t digest_ns = 0;
 };
 
 /// Outcome of one execution: the final data state plus how it ran.
@@ -103,7 +110,8 @@ struct ExecResult {
 /// on any mismatch. See docs/execution.md.
 ///
 /// run() keeps its last *prepared run* — the lowered program, the ops in
-/// schedule order and the seeded initial memory for one (iterations,
+/// schedule order, the same ops without sync ops for runs that post
+/// nothing, and the seeded initial memory for one (iterations,
 /// memory_seed, max_memory_bytes) — and starts every later run with
 /// those options from a copy of that image, so repeated runs pay for
 /// execution, not input synthesis. An executor therefore holds one input

@@ -95,16 +95,21 @@ class WaitHub {
 /// the guarded plain-memory accesses race-free.
 class SignalBoard {
  public:
-  /// `rows` is a minimum history depth; rounded up to a power of two so
-  /// ring indexing is a mask.
+  /// `rows` is a minimum history depth; rounded up to a power of two
+  /// (ring_rows) so ring indexing is a mask.
   SignalBoard(int signal_width, std::int64_t rows)
-      : width_(signal_width > 0 ? signal_width : 1) {
+      : width_(signal_width > 0 ? signal_width : 1),
+        rows_(ring_rows(rows)),
+        mask_(rows_ - 1),
+        slots_(static_cast<std::size_t>(rows_) *
+               static_cast<std::size_t>(width_)) {}
+
+  /// The ring depth of a board asked for `rows`: the least power of two
+  /// at or above it.
+  [[nodiscard]] static std::int64_t ring_rows(std::int64_t rows) {
     std::int64_t pow2 = 1;
     while (pow2 < rows) pow2 <<= 1;
-    rows_ = pow2;
-    mask_ = pow2 - 1;
-    slots_ = std::vector<std::atomic<std::int64_t>>(
-        static_cast<std::size_t>(rows_) * static_cast<std::size_t>(width_));
+    return pow2;
   }
 
   [[nodiscard]] std::int64_t rows() const { return rows_; }
@@ -135,8 +140,8 @@ class SignalBoard {
   }
 
   int width_;
-  std::int64_t rows_ = 1;
-  std::int64_t mask_ = 0;
+  std::int64_t rows_;
+  std::int64_t mask_;
   std::vector<std::atomic<std::int64_t>> slots_;
   WaitHub hub_;
 };

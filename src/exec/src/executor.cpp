@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -50,9 +51,31 @@ struct RunBody {
   OpSequence sequence;
   /// The ops of `sequence` that are not markers.
   std::int64_t instruction_ops = 0;
-  /// Some send is left, so the run posts and gates.
-  bool posts = false;
 };
+
+/// `ops`, whose group g ends at `ends[g]`, without the ops `dropped`
+/// names, with a kGroupEnd after every group when `spins`, and a
+/// kIterationEnd.
+template <class Dropped>
+RunBody marked_body(const OpSequence& ops,
+                    const std::vector<std::size_t>& ends, bool spins,
+                    Dropped&& dropped) {
+  RunBody body;
+  const std::size_t size = ops.ops.size() + ends.size() + 1;
+  body.sequence.ops.reserve(size);
+  body.sequence.ids.reserve(size);
+  std::size_t i = 0;
+  for (const std::size_t end : ends) {
+    for (; i < end; ++i) {
+      if (dropped(ops.ops[i])) continue;
+      body.sequence.push_back(ops.ops[i], ops.ids[i]);
+      ++body.instruction_ops;
+    }
+    if (spins) body.sequence.push_back({OpCode::kGroupEnd}, 0);
+  }
+  body.sequence.push_back({OpCode::kIterationEnd}, 0);
+  return body;
+}
 
 }  // namespace
 
@@ -72,6 +95,13 @@ struct LoopExecutor::Prepared {
   /// last op.
   OpSequence ordered;
   std::vector<std::size_t> group_ends;
+  /// The same body folded, stripped of its waits and sends, and then
+  /// fused, ending in kIterationEnd: with no send left, only a store to
+  /// a load's array keeps the load from merging into its store. Every
+  /// run that posts nothing interprets it, as it is unless it spins;
+  /// group g ends at unsynced_ends[g].
+  RunBody unsynced;
+  std::vector<std::size_t> unsynced_ends;
   /// The schedule's synchronization executions over the whole run: n
   /// per send, and max(0, n - d) per wait of distance d. Every run
   /// reports these, whatever it posts or awaits.
@@ -80,12 +110,25 @@ struct LoopExecutor::Prepared {
   /// The seeded initial memory each run starts from a copy of.
   ExecMemory memory;
 
-  /// `ordered` for a run on `workers` workers, with a kGroupEnd after
-  /// every group when the run `spins`, and a kIterationEnd. Worker
-  /// k mod N runs iteration k - d before iteration k whenever N divides
-  /// d, so its program order already orders such a wait's dependence:
-  /// the body drops that wait, and every send no remaining wait reads.
-  [[nodiscard]] RunBody body_for(int workers, bool spins) const {
+  /// Worker k mod N runs iteration k - d before iteration k whenever N
+  /// divides d, so its program order already orders such a wait's
+  /// dependence. A run on `workers` workers awaits only the other
+  /// waits, and posts only the sends they read; every lowered wait has
+  /// a send.
+  [[nodiscard]] bool posts(int workers) const {
+    return std::any_of(ordered.ops.begin(), ordered.ops.end(),
+                       [workers](const ExecOp& op) {
+                         return op.code == OpCode::kWait &&
+                                op.distance() % workers != 0;
+                       });
+  }
+
+  /// The body of a run on `workers` workers that `posts` (posts()) and
+  /// `spins`, with a kGroupEnd after every group when it spins.
+  [[nodiscard]] RunBody body_for(int workers, bool posts, bool spins) const {
+    if (!posts)
+      return marked_body(unsynced.sequence, unsynced_ends, spins,
+                         [](const ExecOp&) { return false; });
     const auto kept = [workers](const ExecOp& op) {
       return op.code != OpCode::kWait || op.distance() % workers != 0;
     };
@@ -94,26 +137,11 @@ struct LoopExecutor::Prepared {
     for (const ExecOp& op : ordered.ops)
       if (op.code == OpCode::kWait && kept(op))
         read[static_cast<std::size_t>(op.dst)] = 1;
-    RunBody body;
-    const std::size_t size = ordered.ops.size() + group_ends.size() + 1;
-    body.sequence.ops.reserve(size);
-    body.sequence.ids.reserve(size);
-    std::size_t i = 0;
-    for (const std::size_t end : group_ends) {
-      for (; i < end; ++i) {
-        const ExecOp& op = ordered.ops[i];
-        if (op.code == OpCode::kSend
-                ? read[static_cast<std::size_t>(op.dst)] == 0
-                : !kept(op))
-          continue;
-        body.posts = body.posts || op.code == OpCode::kSend;
-        body.sequence.push_back(op, ordered.ids[i]);
-        ++body.instruction_ops;
-      }
-      if (spins) body.sequence.push_back({OpCode::kGroupEnd}, 0);
-    }
-    body.sequence.push_back({OpCode::kIterationEnd}, 0);
-    return body;
+    return marked_body(ordered, group_ends, spins, [&](const ExecOp& op) {
+      return op.code == OpCode::kSend
+                 ? read[static_cast<std::size_t>(op.dst)] == 0
+                 : !kept(op);
+    });
   }
 
   [[nodiscard]] bool has_key(const ExecOptions& options) const {
@@ -191,7 +219,13 @@ std::shared_ptr<const LoopExecutor::Prepared> LoopExecutor::prepare(
     }
     fold_affine_addresses(built->program, &built->ordered,
                           &built->group_ends);
+    built->unsynced.sequence = built->ordered;
+    built->unsynced_ends = built->group_ends;
+    drop_sync_ops(&built->unsynced.sequence, &built->unsynced_ends);
     fuse_float_ops(built->program, &built->ordered, &built->group_ends);
+    fuse_float_ops(built->program, &built->unsynced.sequence,
+                   &built->unsynced_ends);
+    built->unsynced = built->body_for(1, false, false);
     const std::int64_t n = built->program.iterations();
     for (const ExecOp& op : built->ordered.ops) {
       if (op.code == OpCode::kSend)
@@ -236,9 +270,24 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   if (options.metrics != nullptr)
     options.metrics->counter("sbmp_exec_runs_total")->inc();
 
-  result.memory = prepared->memory;
-  if (n == 0) {
+  // The image copy and the digest bracket the execution region; each is
+  // timed and traced on every run. copy_image returns when it ended.
+  Tracer* const tracer = options.tracer;
+  const auto copy_image = [&] {
+    auto span = Tracer::begin(tracer, "exec_copy");
+    const std::int64_t start = now_ns();
+    result.memory = prepared->memory;
+    const std::int64_t end = now_ns();
+    result.stats.copy_ns = end - start;
+    return end;
+  };
+  const auto digest = [&](std::int64_t start) {
+    auto span = Tracer::begin(tracer, "exec_digest");
     result.fingerprint = result.memory.fingerprint();
+    result.stats.digest_ns = now_ns() - start;
+  };
+  if (n == 0) {
+    digest(copy_image());
     return result;
   }
 
@@ -247,22 +296,32 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   const std::int64_t rows = std::min(
       signal_window_rows(program.max_wait_distance(), threads),
       sat_add(n, 1));
-  SignalBoard board(program.signal_width(), rows);
-  result.stats.window = board.rows();
+  const std::int64_t window = SignalBoard::ring_rows(rows);
+  result.stats.window = window;
 
-  // A run that posts nothing keeps every dependence on one worker, so
-  // it skips the ring-reuse gate and the done counts.
+  // A run that posts nothing keeps every dependence on one worker: it
+  // interprets the sync-free body, as prepared unless it spins, and
+  // needs no SignalBoard, ring-reuse gate or done counts.
   const std::int64_t spin_ns = options.spin_ns_per_group;
-  const RunBody body = prepared->body_for(threads, spin_ns > 0);
-  const bool posts = body.posts;
-
+  const bool posts = prepared->posts(threads);
+  RunBody own_body;
+  const RunBody* body = &prepared->unsynced;
+  if (posts || spin_ns > 0) {
+    own_body = prepared->body_for(threads, posts, spin_ns > 0);
+    body = &own_body;
+  }
+  std::optional<SignalBoard> board;
   // Per-worker completion counts, read by the ring-reuse gate. All
   // iterations <= T are complete iff every worker w has completed
   // ceil((T - w + 1) / threads) of its cyclically assigned iterations.
-  std::unique_ptr<std::atomic<std::int64_t>[]> done(
-      new std::atomic<std::int64_t>[static_cast<std::size_t>(threads)]);
-  for (int w = 0; w < threads; ++w)
-    done[static_cast<std::size_t>(w)].store(0, std::memory_order_seq_cst);
+  std::unique_ptr<std::atomic<std::int64_t>[]> done;
+  if (posts) {
+    board.emplace(program.signal_width(), rows);
+    done.reset(
+        new std::atomic<std::int64_t>[static_cast<std::size_t>(threads)]);
+    for (int w = 0; w < threads; ++w)
+      done[static_cast<std::size_t>(w)].store(0, std::memory_order_seq_cst);
+  }
 
   std::atomic<bool> failed{false};
   Status worker_error;  // written only by the failed-CAS winner
@@ -271,18 +330,16 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     if (failed.compare_exchange_strong(expected, true,
                                        std::memory_order_seq_cst))
       worker_error = std::move(status);
-    board.hub().halt();
+    if (board) board->hub().halt();
   };
 
   std::vector<WorkerTally> tallies(static_cast<std::size_t>(threads));
   const std::vector<std::uint64_t> frame_template = program.frame_template();
   const auto iter_slot = static_cast<std::size_t>(program.iter_reg());
   const std::int64_t lower = program.lower();
-  const std::int64_t window = board.rows();
   const ExecMemory& memory = result.memory;
-  const std::vector<ArrayView> views = array_views(result.memory);
-  const ExecOp* const ops = body.sequence.ops.data();
-  Tracer* const tracer = options.tracer;
+  std::vector<ArrayView> views;
+  const ExecOp* const ops = body->sequence.ops.data();
 
   // A worker interprets its whole share in one exec_ops call: `next`,
   // at the end of each iteration, does what lies between two
@@ -290,7 +347,6 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
   const auto worker = [&](int w) {
     WorkerTally& tally = tallies[static_cast<std::size_t>(w)];
     std::vector<std::uint64_t> frame = frame_template;
-    std::atomic<std::int64_t>& my_done = done[static_cast<std::size_t>(w)];
     // Wave spans: bound trace volume by grouping this worker's
     // iterations into at most trace_waves_per_worker spans.
     const std::int64_t mine =
@@ -316,7 +372,7 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
       // run that posts nothing reuses no slot.
       if (posts && k >= window) {
         const std::int64_t target = k - window;
-        const auto outcome = board.hub().await([&] {
+        const auto outcome = board->hub().await([&] {
           for (int w2 = 0; w2 < threads; ++w2) {
             const std::int64_t need =
                 target >= w2 ? (target - w2) / threads + 1 : 0;
@@ -341,27 +397,28 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
       return true;
     };
     const auto sync = [&](const ExecOp& op) {
-      if (op.code == OpCode::kSend) {
-        board.post(op.dst, k);
-        return true;
-      }
       if (op.code == OpCode::kGroupEnd) {
         spin_for(spin_ns);
+        return true;
+      }
+      if (op.code == OpCode::kSend) {
+        board->post(op.dst, k);
         return true;
       }
       // Matches the simulator: a wait whose source iteration does not
       // exist imposes nothing.
       const std::int64_t src = k - op.distance();
       if (src < 0) return true;
-      const auto outcome = board.await_signal(op.dst, src);
+      const auto outcome = board->await_signal(op.dst, src);
       if (outcome.blocked) ++tally.blocked_waits;
       return outcome.satisfied;
     };
     const auto next = [&] {
       ++completed;
       if (posts) {
-        my_done.store(completed, std::memory_order_seq_cst);
-        board.hub().wake();
+        done[static_cast<std::size_t>(w)].store(completed,
+                                                std::memory_order_seq_cst);
+        board->hub().wake();
       }
       k += threads;
       return k < n && ready();
@@ -371,16 +428,16 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
                                   views.data(), sync, next);
     // A refused wait or gate means a peer failed and halted the run.
     if (is_access(stop->code))
-      fail(runtime_fault(body.sequence, *stop, frame.data(),
+      fail(runtime_fault(body->sequence, *stop, frame.data(),
                          program.iter_reg(), memory, k));
   };
 
+  const std::int64_t t0 = copy_image();
   auto run_span = Tracer::begin(tracer, "exec_run");
   run_span.arg("threads", threads);
   run_span.arg("iterations", n);
   run_span.arg("window", window);
-
-  const std::int64_t t0 = now_ns();
+  views = array_views(result.memory);
   {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads) - 1);
@@ -397,7 +454,8 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     worker(0);
     for (auto& t : pool) t.join();
   }
-  result.wall_ns = now_ns() - t0;
+  const std::int64_t t1 = now_ns();
+  result.wall_ns = t1 - t0;
   run_span.close();
 
   if (failed.load(std::memory_order_seq_cst)) {
@@ -413,14 +471,14 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     }
   }
 
-  result.stats.ops = sat_mul(body.instruction_ops, n);
+  digest(t1);
+  result.stats.ops = sat_mul(body->instruction_ops, n);
   result.stats.sends = prepared->sends;
   result.stats.waits = prepared->waits;
   for (const WorkerTally& tally : tallies) {
     result.stats.blocked_waits += tally.blocked_waits;
     result.stats.gate_blocks += tally.gate_blocks;
   }
-  result.fingerprint = result.memory.fingerprint();
 
   if (options.metrics != nullptr) {
     MetricsRegistry& m = *options.metrics;
@@ -433,6 +491,10 @@ ExecResult LoopExecutor::run(const ExecOptions& options) const {
     m.counter("sbmp_exec_gate_blocks_total")->inc(result.stats.gate_blocks);
     m.histogram("sbmp_exec_run_ns", "", phase_latency_bounds_ns())
         ->observe(result.wall_ns);
+    m.histogram("sbmp_exec_copy_ns", "", phase_latency_bounds_ns())
+        ->observe(result.stats.copy_ns);
+    m.histogram("sbmp_exec_digest_ns", "", phase_latency_bounds_ns())
+        ->observe(result.stats.digest_ns);
   }
   return result;
 }

@@ -41,6 +41,15 @@ std::int32_t written_slot(const ExecOp& op) {
              : -1;
 }
 
+/// The array `op` stores to, or -1.
+std::int32_t stored_array(const ExecOp& op) {
+  if (op.code == OpCode::kStore) return op.dst;
+  return op.code == OpCode::kFoldedStore || is_fused_store(op.code) ||
+                 is_merged_store(op.code)
+             ? op.array
+             : -1;
+}
+
 /// Calls `read(slot)` for every slot `op` reads.
 template <class Read>
 void for_each_read(const ExecOp& op, Read&& read) {
@@ -51,6 +60,10 @@ void for_each_read(const ExecOp& op, Read&& read) {
   if (is_fused_store(op.code)) {
     read(op.dst);
     read(op.b);
+    return;
+  }
+  if (is_merged_store(op.code)) {
+    read(merged_slot(op));
     return;
   }
   switch (op.code) {
@@ -224,18 +237,50 @@ void fuse_float_ops(const ExecProgram& program, OpSequence* body,
 
   // Stores: the float op whose result only this folded store reads moves
   // down onto it, unless an op between them writes one of its operands.
+  // So may the folded load of one of its operands, with no send and no
+  // store to the load's array between them.
+  std::size_t last_send = 0;
+  std::vector<std::size_t> last_store(program.array_count(), 0);
   for (std::size_t q = 1; q <= ops.size(); ++q) {
     ExecOp& op = op_at(q);
     if (op.code == OpCode::kFoldedStore && reads[at(op.dst)] == 1) {
       const std::size_t p = last_write[at(op.dst)];
       if (p != 0 && is_float_arith(op_at(p).code) &&
           last_write[at(op_at(p).a)] < p && last_write[at(op_at(p).b)] < p) {
-        op.code = fused(OpCode::kStoreAdd, op_at(p).code);
-        op.dst = op_at(p).a;
-        op.b = op_at(p).b;
+        const ExecOp arith = op_at(p);
+        // Merges the load of operand `value` into the store, which keeps
+        // reading `other` from the frame.
+        const auto merge = [&](std::int32_t value, std::int32_t other,
+                               OpCode base) {
+          const std::size_t l = last_write[at(value)];
+          if (l == 0 || op_at(l).code != OpCode::kFoldedLoad ||
+              reads[at(value)] != 1 || last_send > l ||
+              last_store[op_at(l).array] > l || op_at(l).array > 0xff ||
+              other > 0xffff || !program.always_in_extent(op_at(l)))
+            return false;
+          const ExecOp& load = op_at(l);
+          op.code = fused(base, arith.code);
+          op.dst = static_cast<std::int32_t>(
+              static_cast<std::uint32_t>(other) |
+              static_cast<std::uint32_t>(load.array) << 16 |
+              static_cast<std::uint32_t>(static_cast<std::uint8_t>(load.alpha))
+                  << 24);
+          op.b = load.a;
+          keep[l - 1] = 0;
+          return true;
+        };
+        if (!merge(arith.a, arith.b, OpCode::kStoreCellAdd) &&
+            !merge(arith.b, arith.a, OpCode::kStoreAddCell)) {
+          op.code = fused(OpCode::kStoreAdd, arith.code);
+          op.dst = arith.a;
+          op.b = arith.b;
+        }
         keep[p - 1] = 0;
       }
     }
+    if (op.code == OpCode::kSend) last_send = q;
+    if (const std::int32_t array = stored_array(op); array >= 0)
+      last_store[at(array)] = q;
     if (const std::int32_t slot = written_slot(op); slot >= 0)
       last_write[at(slot)] = q;
   }
@@ -273,6 +318,15 @@ void fuse_float_ops(const ExecProgram& program, OpSequence* body,
     if (const std::int32_t slot = written_slot(op); slot >= 0)
       last_write[at(slot)] = q;
   }
+  drop_ops(keep, body, group_ends);
+}
+
+void drop_sync_ops(OpSequence* body, std::vector<std::size_t>* group_ends) {
+  std::vector<char> keep(body->ops.size(), 1);
+  for (std::size_t i = 0; i < keep.size(); ++i)
+    if (body->ops[i].code == OpCode::kWait ||
+        body->ops[i].code == OpCode::kSend)
+      keep[i] = 0;
   drop_ops(keep, body, group_ends);
 }
 

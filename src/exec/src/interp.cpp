@@ -327,11 +327,30 @@ void ExecProgram::append_ops(int id, OpSequence* out) const {
                   program_.ids.begin() + to);
 }
 
+bool ExecProgram::always_in_extent(const ExecOp& op) const {
+  const std::int64_t n = iterations_;
+  if (n == 0 || add_overflows(lower_, n - 1)) return false;
+  const ArrayPlan& plan = arrays_[op.array];
+  // alpha * I + beta is monotone in I, so both ends bound every address
+  // between; with alpha a multiple of 4 they all share one residue.
+  for (const std::int64_t i : {lower_, lower_ + (n - 1)}) {
+    if (mul_overflows(op.alpha, i) || add_overflows(op.alpha * i, op.a))
+      return false;
+    const std::int64_t addr = op.alpha * i + op.a;
+    if ((addr & 3) != 0 || (addr >> 2) < plan.first ||
+        (addr >> 2) - plan.first >= plan.count)
+      return false;
+  }
+  return n == 1 || op.alpha % 4 == 0;
+}
+
 std::vector<ArrayView> array_views(ExecMemory& memory) {
   std::vector<ArrayView> views;
   views.reserve(memory.arrays.size());
   for (ExecArray& arr : memory.arrays)
-    views.push_back({arr.cells.data(), arr.first, arr.cells.size()});
+    views.push_back({arr.cells.data(),
+                     static_cast<std::uint64_t>(arr.first) << 2,
+                     arr.cells.size()});
   return views;
 }
 
@@ -340,12 +359,21 @@ Status runtime_fault(const OpSequence& sequence, const ExecOp& op,
                      const ExecMemory& memory, std::int64_t k) {
   const auto index = static_cast<std::size_t>(&op - sequence.ops.data());
   const bool folded = is_folded(op.code);
-  const auto addr = static_cast<std::int64_t>(
+  auto addr = static_cast<std::int64_t>(
       folded ? folded_address(op, frame[iter]) : frame[op.a]);
-  const std::int32_t array = folded                       ? op.array
-                             : op.code == OpCode::kLoad ? op.b
-                                                        : op.dst;
-  const ExecArray& arr = memory.arrays[static_cast<std::size_t>(array)];
+  std::size_t array = static_cast<std::size_t>(
+      folded ? op.array : op.code == OpCode::kLoad ? op.b : op.dst);
+  if (is_merged_store(op.code)) {
+    // The stored cell is checked as cell_at does; when it holds, the
+    // loaded one faulted.
+    const ExecArray& stored = memory.arrays[array];
+    const auto off = static_cast<std::uint64_t>((addr >> 2) - stored.first);
+    if ((addr & 3) == 0 && off < stored.cells.size()) {
+      addr = static_cast<std::int64_t>(merged_address(op, frame[iter]));
+      array = merged_array(op);
+    }
+  }
+  const ExecArray& arr = memory.arrays[array];
   std::string what;
   if ((addr & 3) != 0) {
     what = "misaligned byte address " + std::to_string(addr);

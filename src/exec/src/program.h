@@ -10,10 +10,12 @@
 // in one call: every body ends in an iteration-end op that starts the
 // next iteration. LoopExecutor::run interprets the ops in schedule
 // group order with live synchronization, its address arithmetic folded
-// into the loads and stores and its float ops fused with them;
+// into the loads and stores, its float ops fused with them and its
+// proven loads merged into the stores they feed;
 // run_reference_interp interprets the literal ops in program order
 // without synchronization.
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -28,10 +30,10 @@
 namespace sbmp {
 
 /// The TAC opcode with the int/real split resolved at build time, plus
-/// the explicit operand conversions, the folded and fused accesses and
-/// the two markers the interpreter stops at. The pure ops come first;
-/// each run of four float ops, literal or fused, is in the order add,
-/// sub, mul, div.
+/// the explicit operand conversions, the folded, fused and merged
+/// accesses and the two markers the interpreter stops at. The pure ops
+/// come first; each run of four float ops, literal, fused or merged, is
+/// in the order add, sub, mul, div.
 enum class OpCode : std::uint8_t {
   kIntAdd,
   kIntSub,
@@ -60,6 +62,14 @@ enum class OpCode : std::uint8_t {
   kStoreSub,
   kStoreMul,
   kStoreDiv,
+  kStoreCellAdd,
+  kStoreCellSub,
+  kStoreCellMul,
+  kStoreCellDiv,
+  kStoreAddCell,
+  kStoreSubCell,
+  kStoreMulCell,
+  kStoreDivCell,
   kWait,
   kSend,
   kGroupEnd,
@@ -76,14 +86,20 @@ enum class OpCode : std::uint8_t {
   return code >= OpCode::kFloatAdd && code <= OpCode::kFloatDiv;
 }
 
-/// Loads and stores, literal, folded or fused: the ops that can fault.
+/// Loads and stores, literal, folded, fused or merged: the ops that can
+/// fault.
 [[nodiscard]] inline bool is_access(OpCode code) {
-  return code >= OpCode::kLoad && code <= OpCode::kStoreDiv;
+  return code >= OpCode::kLoad && code <= OpCode::kStoreDivCell;
 }
 
 /// The accesses whose address is alpha * I + a.
 [[nodiscard]] inline bool is_folded(OpCode code) {
-  return code >= OpCode::kFoldedLoad && code <= OpCode::kStoreDiv;
+  return code >= OpCode::kFoldedLoad && code <= OpCode::kStoreDivCell;
+}
+
+/// kStoreCellAdd .. kStoreDivCell: fused stores that also read a cell.
+[[nodiscard]] inline bool is_merged_store(OpCode code) {
+  return code >= OpCode::kStoreCellAdd && code <= OpCode::kStoreDivCell;
 }
 
 /// One micro-op; `f` is the frame.
@@ -96,6 +112,8 @@ enum class OpCode : std::uint8_t {
 ///   kCellAdd .. kCellDiv     f[dst] = cell op f[b]
 ///   kAddCell .. kDivCell     f[dst] = f[b] op cell
 ///   kStoreAdd .. kStoreDiv   cell = f[dst] op f[b]
+///   kStoreCellAdd .. kStoreCellDiv  cell = loaded op f[slot]
+///   kStoreAddCell .. kStoreDivCell  cell = f[slot] op loaded
 ///   kWait                    signal statement dst, distance in (a, b)
 ///   kSend                    signal statement dst
 ///   kGroupEnd                the end of an issue group
@@ -104,7 +122,11 @@ enum class OpCode : std::uint8_t {
 /// In a folded or fused access, `cell` is array `array` at byte address
 /// alpha * I + a, where I is the iteration register, `alpha` and `a` are
 /// sign-extended and the arithmetic wraps. A fused op is one float op
-/// and the folded access it reads from or stores to (fuse_float_ops).
+/// and the folded access it reads from or stores to (fuse_float_ops). A
+/// merged store is a fused store that also reads its other operand from
+/// `loaded`, array `merged_array()` at byte address
+/// merged_alpha() * I + b; `dst` packs that array and alpha with
+/// `slot`, merged_slot().
 struct ExecOp {
   OpCode code = OpCode::kIntAdd;
   /// Folded and fused accesses: the form's multiplier and array, in
@@ -124,12 +146,32 @@ struct ExecOp {
 };
 static_assert(sizeof(ExecOp) == 16);
 
+/// A merged store's frame slot, second array and second multiplier, the
+/// low 16, next 8 and top 8 bits of `dst`.
+[[nodiscard]] inline std::int32_t merged_slot(const ExecOp& op) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(op.dst) &
+                                   0xffffu);
+}
+[[nodiscard]] inline std::size_t merged_array(const ExecOp& op) {
+  return static_cast<std::uint32_t>(op.dst) >> 16 & 0xffu;
+}
+[[nodiscard]] inline std::int8_t merged_alpha(const ExecOp& op) {
+  return static_cast<std::int8_t>(static_cast<std::uint32_t>(op.dst) >> 24);
+}
+
 /// The byte address of a folded or fused access in an iteration whose
 /// iteration register holds `i`.
 [[nodiscard]] inline std::uint64_t folded_address(const ExecOp& op,
                                                   std::uint64_t i) {
   const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
   return u(op.alpha) * i + u(op.a);
+}
+
+/// The byte address of a merged store's loaded cell.
+[[nodiscard]] inline std::uint64_t merged_address(const ExecOp& op,
+                                                  std::uint64_t i) {
+  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  return u(merged_alpha(op)) * i + u(op.b);
 }
 
 /// Micro-ops ready to interpret, each with the id of the TAC
@@ -148,7 +190,8 @@ struct OpSequence {
 /// One run's view of an ExecArray.
 struct ArrayView {
   std::uint64_t* cells = nullptr;
-  std::int64_t first = 0;  ///< element index of cells[0]
+  /// The byte address of cells[0], 4 * ExecArray::first (mod 2^64).
+  std::uint64_t first_byte = 0;
   std::uint64_t count = 0;
 };
 
@@ -157,15 +200,20 @@ struct ArrayView {
 [[nodiscard]] std::vector<ArrayView> array_views(ExecMemory& memory);
 
 /// The cell at byte address `addr`, or nullptr when the address is
-/// misaligned or outside the planned extent. Element indexes stay
-/// within 2^61 in magnitude and `first` within 2^60, so the offset
-/// arithmetic cannot overflow.
+/// misaligned or outside the planned extent. Rotating the byte offset
+/// right by 2 gives the cell offset of an aligned address and moves a
+/// misaligned one's low bits to the top, so one compare checks both:
+/// element indexes stay within 2^61 in magnitude, `first` within 2^60
+/// and `count` within 2^58, so an address below the extent also rotates
+/// to at least 2^61.
 [[nodiscard]] inline std::uint64_t* cell_at(const ArrayView& view,
                                             std::uint64_t addr) {
-  const auto byte = static_cast<std::int64_t>(addr);
-  const auto off = static_cast<std::uint64_t>((byte >> 2) - view.first);
-  if ((byte & 3) != 0 || off >= view.count) return nullptr;
-  return view.cells + off;
+  const std::uint64_t off = std::rotr(addr - view.first_byte, 2);
+  if (off >= view.count) return nullptr;
+  std::uint64_t* cell = view.cells + off;
+  // Lets a caller's null test fold into the extent check above.
+  if (cell == nullptr) __builtin_unreachable();
+  return cell;
 }
 
 /// Interprets the body that starts at `op` over frame `f` and memory
@@ -202,7 +250,9 @@ template <class Sync, class Next>
       &&store,       &&folded_load,  &&folded_store, &&cell_add,
       &&cell_sub,    &&cell_mul,     &&cell_div,     &&add_cell,
       &&sub_cell,    &&mul_cell,     &&div_cell,     &&store_add,
-      &&store_sub,   &&store_mul,    &&store_div,    &&sync_op,
+      &&store_sub,   &&store_mul,    &&store_div,    &&store_cell_add,
+      &&store_cell_sub, &&store_cell_mul, &&store_cell_div, &&store_add_cell,
+      &&store_sub_cell, &&store_mul_cell, &&store_div_cell, &&sync_op,
       &&sync_op,     &&sync_op,      &&iteration_end,
   };
   static_assert(sizeof kHandlers / sizeof kHandlers[0] ==
@@ -221,6 +271,9 @@ template <class Sync, class Next>
   std::uint64_t iteration = f[iter];
   const auto folded_cell = [arrays](const ExecOp* o, std::uint64_t at) {
     return cell_at(arrays[o->array], folded_address(*o, at));
+  };
+  const auto loaded_cell = [arrays](const ExecOp* o, std::uint64_t at) {
+    return cell_at(arrays[merged_array(*o)], merged_address(*o, at));
   };
   goto* handler(op);
 
@@ -355,6 +408,72 @@ store_div: {
   *cell = exec_bits_of(d(f[op->dst]) / d(f[op->b]));
   goto* handler(++op);
 }
+// The merged stores: a fused store whose other operand is a cell, read
+// where the store stands.
+store_cell_add: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(*loaded) + d(f[merged_slot(*op)]));
+  goto* handler(++op);
+}
+store_cell_sub: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(*loaded) - d(f[merged_slot(*op)]));
+  goto* handler(++op);
+}
+store_cell_mul: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(*loaded) * d(f[merged_slot(*op)]));
+  goto* handler(++op);
+}
+store_cell_div: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(*loaded) / d(f[merged_slot(*op)]));
+  goto* handler(++op);
+}
+store_add_cell: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[merged_slot(*op)]) + d(*loaded));
+  goto* handler(++op);
+}
+store_sub_cell: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[merged_slot(*op)]) - d(*loaded));
+  goto* handler(++op);
+}
+store_mul_cell: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[merged_slot(*op)]) * d(*loaded));
+  goto* handler(++op);
+}
+store_div_cell: {
+  const std::uint64_t* loaded = loaded_cell(op, iteration);
+  if (loaded == nullptr) return op;
+  std::uint64_t* cell = folded_cell(op, iteration);
+  if (cell == nullptr) return op;
+  *cell = exec_bits_of(d(f[merged_slot(*op)]) / d(*loaded));
+  goto* handler(++op);
+}
 sync_op:
   if (!sync(*op)) return op;
   goto* handler(++op);
@@ -393,19 +512,31 @@ void fold_affine_addresses(const ExecProgram& program, OpSequence* body,
 ///
 /// * A float op whose result only a kFoldedStore reads, and whose
 ///   operands no op between them writes, moves down onto that store:
-///   kStoreAdd .. kStoreDiv.
+///   kStoreAdd .. kStoreDiv. When one of its operands is a kFoldedLoad
+///   earlier in the body that nothing else reads, the load moves down
+///   onto the store too: kStoreCellAdd .. kStoreCellDiv when the cell
+///   is the first operand, kStoreAddCell .. kStoreDivCell when it is
+///   the second. That needs no send and no store to the load's array
+///   between them, and the load proven inside its extent at every
+///   iteration (ExecProgram::always_in_extent), so it never faults.
 /// * Then a float op moves up onto the kFoldedLoad whose value only it
 ///   reads, when no op between them writes its other operand or reads
 ///   or writes its result: kCellAdd .. kCellDiv when the cell is the
 ///   first operand, kAddCell .. kDivCell when it is the second.
 ///
-/// Only arithmetic moves: every access and every sync op keeps its
-/// place and order, and a fused op keeps its access's TAC id. So the
+/// Only arithmetic and proven loads move: every other access and every
+/// sync op keeps its place and order, a fused op keeps its access's TAC
+/// id, and a merged op its store's. A moved load still reads what it read
+/// where it stood, since nothing this worker runs between writes its
+/// array, and no send lets another worker write it first. So the
 /// result leaves memory, every fault with its message, and every post
-/// and await as `body` would, for every worker count and spin.
-/// `group_ends` follows.
+/// and await as `body` would, for every worker count and spin that
+/// keeps the sends of `body`. `group_ends` follows.
 void fuse_float_ops(const ExecProgram& program, OpSequence* body,
                     std::vector<std::size_t>* group_ends);
+
+/// Drops every kWait and kSend of `body`; `group_ends` follows.
+void drop_sync_ops(OpSequence* body, std::vector<std::size_t>* group_ends);
 
 /// A LoopReport's TAC lowered to micro-ops for one concrete iteration
 /// count and memory seed: operand types resolved, array indexes
@@ -434,10 +565,15 @@ class ExecProgram {
   /// Slots in a frame: registers, constants and conversion scratch.
   [[nodiscard]] std::size_t frame_size() const { return frame_size_; }
   [[nodiscard]] int signal_width() const { return signal_width_; }
+  [[nodiscard]] std::size_t array_count() const { return arrays_.size(); }
   /// Over every wait, including those dropped for having no send.
   [[nodiscard]] std::int64_t max_wait_distance() const {
     return max_wait_distance_;
   }
+  /// Whether folded access `op` is aligned and inside its array's
+  /// planned extent at every iteration, with I and alpha * I + beta
+  /// computed exactly: no wrap-around.
+  [[nodiscard]] bool always_in_extent(const ExecOp& op) const;
 
   /// Freshly initialised memory: every cell a deterministic function of
   /// (seed, array name, element index) alone — identical for every
@@ -475,9 +611,11 @@ class ExecProgram {
 };
 
 /// The kInternal status of `op`, an access of `sequence`, literal,
-/// folded or fused, faulting in iteration `k` over `frame`, whose
-/// iteration register is slot `iter`, and `memory`. Built only once a
-/// run has stopped, so the interpreter carries no message state.
+/// folded, fused or merged, faulting in iteration `k` over `frame`,
+/// whose iteration register is slot `iter`, and `memory`. Built only
+/// once a run has stopped, so the interpreter carries no message state.
+/// A merged store names its loaded cell when that is the one that
+/// faults.
 [[nodiscard]] Status runtime_fault(const OpSequence& sequence,
                                    const ExecOp& op,
                                    const std::uint64_t* frame,

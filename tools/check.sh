@@ -28,8 +28,9 @@ ctest --test-dir "$root/build" -L fuzz --output-on-failure -j "$jobs"
 
 echo "== deep executor fuzz (exec_test, SBMP_FUZZ_SEEDS=3000) =="
 # run() interprets a rewritten body: address arithmetic folded into the
-# loads and stores, float ops fused with them. Its soundness rests on
-# this differential sweep against the literal reference.
+# loads and stores, float ops fused with them, proven loads merged into
+# the stores they feed. Its soundness rests on this differential sweep
+# against the literal reference.
 SBMP_FUZZ_SEEDS=3000 "$root/build/tests/exec_test" --gtest_brief=1
 
 echo "== numeric flags are read whole (a typo is a usage error, exit 2) =="
